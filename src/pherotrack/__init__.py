@@ -16,9 +16,9 @@ from .sensing import (AnalyticCovMap, BoundingBox, CalibrationTable,
                       polar_to_estimate, save_calibration_csv,
                       spherical_to_euclidean, synthetic_calibration_table)
 from .tracking import (LocalTargetList, NeighborTargetList, TargetRecord,
-                       TrackerConfig, UnknownTargetError, combined_estimate,
-                       exploitation_waypoint, select_target,
-                       transform_neighbor_estimate, update_storage)
+                       TrackerConfig, combined_estimate, exploitation_waypoint,
+                       select_target, transform_neighbor_estimate,
+                       update_storage)
 from .pheromone import (GridGeometry, Pheromone, PheromoneConfig,
                         PheromoneGrid, PheromoneList, build_map, delta_map,
                         diffuse_region, exploration_waypoint,

@@ -17,9 +17,8 @@ from . import pheromone as ph
 from .estimation import GaussianEstimate
 from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint, contains,
                       rot2, wrap_angle)
-from .tracking import (LocalTargetList, TrackerConfig, UnknownTargetError,
-                       combined_estimate, entropy, select_target,
-                       update_storage)
+from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
+                       entropy, select_target, update_storage)
 
 
 @dataclass
@@ -77,10 +76,12 @@ def pd_control(waypoint_body, prev_face_body, gains: PdGains, u_max,
     else:
         prev_bearing = math.atan2(prev_face_body[1], prev_face_body[0])
         d_bearing = wrap_angle(bearing - prev_bearing)
+    # min(max(x, lo), hi) with x first is np.clip's rule for one float:
+    # x wins ties (signed zeros) and NaN passes through.
     u2 = gains.kp_theta * bearing + gains.kd_theta * d_bearing
-    u2 = float(np.clip(u2, -u_max[1], u_max[1]))
+    u2 = min(max(u2, -float(u_max[1])), float(u_max[1]))
     u1 = gains.kp_r * dist * max(0.0, math.cos(bearing))
-    u1 = float(np.clip(u1, 0.0, u_max[0]))
+    u1 = min(max(u1, 0.0), float(u_max[0]))
     return ControlInput(u1, u2)
 
 
@@ -160,10 +161,10 @@ class AgentBrain:
         """
         if self.domain is None or own_pos is None:
             return np.asarray(rel, dtype=float)
-        g = np.asarray(own_pos, dtype=float) + np.asarray(rel, dtype=float)
-        g[0] = min(max(g[0], 0.0), self.domain[0])
-        g[1] = min(max(g[1], 0.0), self.domain[1])
-        return g - np.asarray(own_pos, dtype=float)
+        ox, oy = float(own_pos[0]), float(own_pos[1])
+        gx = min(max(ox + float(rel[0]), 0.0), self.domain[0])
+        gy = min(max(oy + float(rel[1]), 0.0), self.domain[1])
+        return np.array((gx - ox, gy - oy))
 
     def _in_domain(self, waypoint, own_pos):
         if self.domain is None or own_pos is None:
@@ -325,10 +326,10 @@ class AgentBrain:
 
         exploit_entropy = None
         if k_star > 0:
-            try:
-                est = combined_estimate(k_star, self.local_targets,
-                                        self.neighbor_targets)
-            except UnknownTargetError:
+            est = combined_estimate(
+                [(self.local_targets, self.neighbor_targets)],
+                [k_star]).get((0, k_star))
+            if est is None:
                 # A forced selection can lag the lists by a step; fall back
                 # to exploring until the external assignment catches up.
                 k_star = 0

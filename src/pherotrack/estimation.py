@@ -11,12 +11,15 @@ Covariances are 2x2 symmetric PSD matrices in bl^2; the scalar uncertainty
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Eigenvalue floor below which a covariance counts as singular for inversion.
 EPS_INV = 1e-9
+
+_F64 = np.dtype(float)
 
 
 class SingularCovarianceError(ValueError):
@@ -51,36 +54,84 @@ class GaussianEstimate:
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(2)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        # Most estimates are built from fresh float64 arrays; only convert
+        # (and reshape) what is not one already.
+        m, c = self.mean, self.cov
+        if not (type(m) is np.ndarray and m.dtype is _F64
+                and m.shape == (2,)):
+            self.mean = np.asarray(m, dtype=float).reshape(2)
+        if not (type(c) is np.ndarray and c.dtype is _F64
+                and c.shape == (2, 2)):
+            self.cov = np.asarray(c, dtype=float).reshape(2, 2)
 
     def copy(self) -> "GaussianEstimate":
         return GaussianEstimate(self.mean.copy(), self.cov.copy())
 
 
-def _min_eig_2x2(c):
+# The 2x2 kernels below work on the four entries of a matrix.  The entries
+# are Python floats for a single matrix, which skips numpy's per-call
+# overhead, or arrays for a stack of matrices.  +, -, *, / and sqrt round
+# identically either way, so both give the same bits.  Matrix-vector
+# products always go through np.matmul, whose summation order differs from
+# a plain a*x + b*y.
+
+
+def _min_eig(c00, c01, c10, c11):
     # Smallest eigenvalue of a symmetric 2x2 without calling eigvalsh.
-    half_tr = 0.5 * (c[0, 0] + c[1, 1])
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+    half_tr = 0.5 * (c00 + c11)
+    det = c00 * c11 - c01 * c10
     disc = half_tr * half_tr - det
-    return half_tr - np.sqrt(max(disc, 0.0))
+    if isinstance(disc, np.ndarray):
+        return half_tr - np.sqrt(np.maximum(disc, 0.0))
+    return half_tr - math.sqrt(max(disc, 0.0))
 
 
-def inv2(c):
-    """Closed-form 2x2 inverse with a singularity guard.
+def _check_invertible(c00, c01, c10, c11):
+    bad = _min_eig(c00, c01, c10, c11) <= EPS_INV
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise SingularCovarianceError(
+            f"covariance with min eigenvalue <= {EPS_INV} cannot be inverted")
+
+
+def _inv_entries(c00, c01, c10, c11):
+    det = c00 * c11 - c01 * c10
+    return c11 / det, -c01 / det, -c10 / det, c00 / det
+
+
+# Entry order of a flattened 2x2 inverse: the adjugate's, then its signs.
+_ADJ = np.array([3, 1, 2, 0])
+_ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def inv2(c, check=True):
+    """Closed-form inverse of a 2x2 matrix or of a stack of them (..., 2, 2).
+
+    With ``check`` (the default) every matrix must be safely invertible;
+    sums of inverses of checked covariances need no second check.
 
     Raises:
-        SingularCovarianceError: if the smallest eigenvalue is at or below
+        SingularCovarianceError: if a smallest eigenvalue is at or below
             ``EPS_INV``.
     """
-    if _min_eig_2x2(c) <= EPS_INV:
-        raise SingularCovarianceError(
-            f"covariance with min eigenvalue <= {EPS_INV} cannot be inverted"
-        )
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    return np.array(
-        [[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]], dtype=float
-    ) / det
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 2:
+        (c00, c01), (c10, c11) = c.tolist()
+        if check:
+            _check_invertible(c00, c01, c10, c11)
+        i00, i01, i10, i11 = _inv_entries(c00, c01, c10, c11)
+        return np.array(((i00, i01), (i10, i11)))
+    flat = c.reshape(-1, 4)
+    c00, c01, c10, c11 = flat.T
+    if check:
+        _check_invertible(c00, c01, c10, c11)
+    det = c00 * c11 - c01 * c10
+    # Multiplying by -1 is an exact negation, so each entry rounds as the
+    # single-matrix path's -c01 / det does.  take() keeps the result
+    # C-contiguous: np.matmul picks its kernel, and so its rounding, by
+    # memory layout.
+    out = flat.take(_ADJ, axis=1) * _ADJ_SIGN
+    out /= det[:, None]
+    return out.reshape(c.shape)
 
 
 def fuse(a: GaussianEstimate, b: GaussianEstimate) -> GaussianEstimate:
@@ -91,20 +142,31 @@ def fuse(a: GaussianEstimate, b: GaussianEstimate) -> GaussianEstimate:
 
     The result's determinant never exceeds that of either input.
     """
-    ia = inv2(a.cov)
-    ib = inv2(b.cov)
-    cov = inv2_raw(ia + ib)
-    mean = cov @ (ia @ a.mean + ib @ b.mean)
-    return GaussianEstimate(mean, cov)
+    (a00, a01), (a10, a11) = a.cov.tolist()
+    (b00, b01), (b10, b11) = b.cov.tolist()
+    _check_invertible(a00, a01, a10, a11)
+    ia = _inv_entries(a00, a01, a10, a11)
+    _check_invertible(b00, b01, b10, b11)
+    ib = _inv_entries(b00, b01, b10, b11)
+    c00, c01, c10, c11 = _inv_entries(ia[0] + ib[0], ia[1] + ib[1],
+                                      ia[2] + ib[2], ia[3] + ib[3])
+    cov = np.array(((c00, c01), (c10, c11)))
+    info = (np.array(((ia[0], ia[1]), (ia[2], ia[3]))) @ a.mean
+            + np.array(((ib[0], ib[1]), (ib[2], ib[3]))) @ b.mean)
+    return GaussianEstimate(cov @ info, cov)
 
 
-def inv2_raw(c):
-    # Unchecked 2x2 inverse for matrices known to be well-conditioned
-    # (sums of inverses of checked inputs).
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    return np.array(
-        [[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]], dtype=float
-    ) / det
+def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
+    """:func:`fuse` applied row by row to stacks (K, 2) and (K, 2, 2).
+
+    Returns the fused (means, covs); every row has the bits :func:`fuse`
+    gives for that pair.
+    """
+    ia = inv2(a_cov)
+    ib = inv2(b_cov)
+    cov = inv2(ia + ib, check=False)
+    info = np.matmul(ia, a_mean[..., None]) + np.matmul(ib, b_mean[..., None])
+    return np.matmul(cov, info)[..., 0], cov
 
 
 def propagate(e: GaussianEstimate, shift, growth) -> GaussianEstimate:
@@ -113,12 +175,16 @@ def propagate(e: GaussianEstimate, shift, growth) -> GaussianEstimate:
     ``shift`` is the frame shift p(t-1) - p(t) for quantities stored relative
     to the moving agent; ``growth`` is the additive process-noise bound.
     """
-    shift = np.asarray(shift, dtype=float).reshape(2)
-    growth = np.asarray(growth, dtype=float).reshape(2, 2)
+    if not (type(shift) is np.ndarray and shift.dtype is _F64
+            and shift.shape == (2,)):
+        shift = np.asarray(shift, dtype=float).reshape(2)
+    if not (type(growth) is np.ndarray and growth.dtype is _F64
+            and growth.shape == (2, 2)):
+        growth = np.asarray(growth, dtype=float).reshape(2, 2)
     return GaussianEstimate(e.mean + shift, e.cov + growth)
 
 
 def entropy(cov) -> float:
     """Scalar uncertainty of a covariance: its determinant (bl^4)."""
-    c = np.asarray(cov, dtype=float)
-    return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    (c00, c01), (c10, c11) = np.asarray(cov, dtype=float).tolist()
+    return c00 * c11 - c01 * c10

@@ -22,10 +22,16 @@ from .baselines import (AuctionConfig, LevyConfig, VisitedMap,
                         antiflocking_waypoint, auction_assign, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig, delta_map
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
-from .tracking import TrackerConfig, UnknownTargetError, combined_estimate, entropy
+from .tracking import TrackerConfig, combined_estimate, entropy
 
 SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
 ASSIGN_ALGOS = ("greedy-distributed", "auction", "local-greedy")
+
+# Header of telemetry_seed<S>.csv, one row per step and agent (see README).
+# ``entropy`` is the exploited target's combined-covariance determinant,
+# empty while exploring.
+TELEMETRY_COLUMNS = ("t", "agent_id", "mode", "k_star", "waypoint_x",
+                     "waypoint_y", "entropy")
 
 
 @dataclass
@@ -116,7 +122,7 @@ def _cov_at_fn(cfg: wd.WorldConfig):
 
 def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
     cov_fn, viewpoint_source = _cov_at_fn(cfg)
-    tracker_cfg = TrackerConfig(cfg.q_bar, cfg.sigma_bar, cfg.k_p,
+    tracker_cfg = TrackerConfig(cfg.q_bar, cfg.sigma_bar,
                                 motion_var=float(cfg.u_max[0]) ** 2)
     pher_cfg = PheromoneConfig(cfg.w_init, cfg.w_decay, cfg.w_floor,
                                footprint_radius=cfg.r_s,
@@ -301,16 +307,14 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
                 ])
         packets = new_packets
 
-        true_rel, estimates = {}, {}
-        for i in range(n):
-            for tid in target_ids:
-                true_rel[(i, tid)] = state.target_pos[tid - 1] - state.agent_pos[i]
-                try:
-                    est = combined_estimate(tid, brains[i].local_targets,
-                                            brains[i].neighbor_targets)
-                    estimates[(i, tid)] = est.mean
-                except UnknownTargetError:
-                    pass
+        combined = combined_estimate(
+            [(b.local_targets, b.neighbor_targets) for b in brains],
+            target_ids)
+        estimates = {key: est.mean for key, est in combined.items()}
+        rel = (state.target_pos[None, :, :]
+               - state.agent_pos[:, None, :]).tolist()
+        true_rel = {(i, tid): rel[i][tid - 1]
+                    for i in range(n) for tid in target_ids}
         metrics.h_series.append(
             objective_H(target_ids, true_rel, estimates, n, diag))
         metrics.n_tracked_series.append(len(satisfied))
@@ -366,8 +370,7 @@ def run_monte_carlo(spec: ExperimentSpec):
                                            f"telemetry_seed{seed}.csv"),
                               "w", newline="")
             telem_writer = csv.writer(telem_file)
-            telem_writer.writerow(["t", "agent_id", "mode", "k_star",
-                                   "waypoint_x", "waypoint_y", "entropy"])
+            telem_writer.writerow(TELEMETRY_COLUMNS)
         maps_dir = os.path.join(spec.out_dir, "maps") \
             if (spec.dump_maps and spec.out_dir) else None
         try:

@@ -18,12 +18,14 @@ from .estimation import GaussianEstimate, check_cov, entropy
 
 
 def wrap_angle(a):
-    """Wrap an angle to (-pi, pi]."""
-    a = (a + np.pi) % (2.0 * np.pi) - np.pi
-    if np.isscalar(a) or a.ndim == 0:
-        return float(a) if a != -np.pi else np.pi
-    a[a == -np.pi] = np.pi
-    return a
+    """Wrap an angle, or an array of them, to (-pi, pi]."""
+    if isinstance(a, np.ndarray) and a.ndim:
+        a = (a + np.pi) % (2.0 * np.pi) - np.pi
+        a[a == -np.pi] = np.pi
+        return a
+    # Python floats round exactly as numpy's float64 scalars do.
+    a = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
+    return a if a != -math.pi else math.pi
 
 
 def rot2(theta):
@@ -53,13 +55,13 @@ class SectorFov:
 
 def contains(fov: SectorFov, point) -> bool:
     """Sector membership test for a point relative to the FOV's agent."""
-    p = np.asarray(point, dtype=float)
-    r = math.hypot(p[0], p[1])
+    x, y = float(point[0]), float(point[1])
+    r = math.hypot(x, y)
     if r > fov.range_bl:
         return False
     if r == 0.0:
         return True
-    bearing = wrap_angle(math.atan2(p[1], p[0]) - fov.heading)
+    bearing = wrap_angle(math.atan2(y, x) - fov.heading)
     return abs(bearing) <= fov.half_angle
 
 

@@ -2,8 +2,8 @@
 
 Holds the local target list, the per-neighbor target lists (kept in each
 neighbor's frame), the storage update rule, the two-phase distributed-greedy
-target selection, the neighbor-frame transform, combined-estimate fusion, and
-the exploitation waypoint.
+target selection, the neighbor-frame transform, batched combined-estimate
+fusion, and the exploitation waypoint.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import GaussianEstimate, entropy, fuse, propagate
-
-
-class UnknownTargetError(KeyError):
-    """Requested a combined estimate for a target present in no list."""
+from .estimation import (GaussianEstimate, entropy, fuse, fuse_stacked,
+                         propagate)
 
 
 @dataclass
@@ -56,7 +53,6 @@ class NeighborTargetList:
 class TrackerConfig:
     q_bar: np.ndarray            # max per-step covariance growth of a target
     sigma_bar: float = 3600.0    # delete records whose det exceeds this
-    k_p: float = 1.0             # neighbor relative-position noise gain
     motion_var: float = 0.16     # per-step variance bound on neighbor motion
 
     def __post_init__(self):
@@ -212,29 +208,100 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
     return best[1] if best else 0
 
 
-def combined_estimate(target_id: int, local: LocalTargetList,
-                      neighbors: dict) -> GaussianEstimate:
-    """Fuse every view of a target into one local-frame estimate.
+# Below this many pairs numpy's per-call overhead outweighs batching, and
+# the chains are fused one pair at a time instead.
+_STACK_MIN_PAIRS = 4
 
-    Sources are the local record (if any) and each neighbor record lifted
-    through :func:`transform_neighbor_estimate`.  Fusion is the associative
-    information-form combination, so source order is irrelevant.
+
+def combined_estimate(holdings, target_ids) -> dict:
+    """Fuse every view of each (agent, target) pair into one local-frame
+    estimate, for all pairs at once.
+
+    ``holdings`` is a sequence of ``(local, neighbors)`` per agent: its
+    :class:`LocalTargetList` and its dict of :class:`NeighborTargetList`.
+    A pair's sources are the local record (if any), then each neighbor
+    record whose neighbor has a ``rel_pos``, in ascending neighbor id,
+    lifted through :func:`transform_neighbor_estimate`.  Each chain is
+    fused left to right, exactly as a loop of :func:`fuse` over its sources;
+    with enough pairs, all chains advance together one position at a time
+    through :func:`fuse_stacked`, which gives the same bits.
+
+    Returns ``{(index into holdings, target id): GaussianEstimate}``; pairs
+    with no source are absent.
+
+    Raises:
+        SingularCovarianceError: if a fused covariance cannot be inverted.
     """
-    sources = []
-    rec = local.records.get(target_id)
-    if rec is not None:
-        sources.append(rec.estimate)
-    for nid in sorted(neighbors):
-        nlist = neighbors[nid]
-        nrec = nlist.records.get(target_id)
-        if nrec is not None and nlist.rel_pos is not None:
-            sources.append(transform_neighbor_estimate(nrec.estimate, nlist.rel_pos))
-    if not sources:
-        raise UnknownTargetError(target_id)
+    chains = {}
+    for a, (local, neighbors) in enumerate(holdings):
+        by_target = {tid: [(rec.estimate, None)]
+                     for tid, rec in local.records.items()}
+        for nid in sorted(neighbors):
+            nlist = neighbors[nid]
+            rel_pos = nlist.rel_pos
+            if rel_pos is None:
+                continue
+            for tid, rec in nlist.records.items():
+                chain = by_target.get(tid)
+                if chain is None:
+                    by_target[tid] = [(rec.estimate, rel_pos)]
+                else:
+                    chain.append((rec.estimate, rel_pos))
+        for tid in target_ids:
+            chain = by_target.get(tid)
+            if chain is not None:
+                chains[(a, tid)] = chain
+    if len(chains) < _STACK_MIN_PAIRS:
+        return {key: _fuse_chain(chain) for key, chain in chains.items()}
+    return _fuse_chains_stacked(chains)
+
+
+def _fuse_chain(chain):
+    sources = [est if rel_pos is None
+               else transform_neighbor_estimate(est, rel_pos)
+               for est, rel_pos in chain]
     out = sources[0].copy()
     for s in sources[1:]:
         out = fuse(out, s)
     return out
+
+
+def _fuse_chains_stacked(chains):
+    # Longest chains first, and sources laid out position-major: the pairs
+    # still fusing at chain position j are a prefix, and their j-th sources
+    # one contiguous block.
+    keys = sorted(chains, key=lambda k: -len(chains[k]))
+    means, covs, blocks = [], [], []
+    lift_rows, lift_means, lift_covs = [], [], []
+    n_active = len(keys)
+    for j in range(len(chains[keys[0]])):
+        while len(chains[keys[n_active - 1]]) <= j:
+            n_active -= 1
+        blocks.append(n_active)
+        for key in keys[:n_active]:
+            est, rel_pos = chains[key][j]
+            if rel_pos is not None:
+                lift_rows.append(len(means))
+                lift_means.append(rel_pos.mean)
+                lift_covs.append(rel_pos.cov)
+            means.append(est.mean)
+            covs.append(est.cov)
+
+    src_mean, src_cov = np.array(means), np.array(covs)
+    if lift_rows:
+        src_mean[lift_rows] += np.array(lift_means)
+        src_cov[lift_rows] += np.array(lift_covs)
+
+    # The running estimates overwrite the first block in place.
+    mean, cov = src_mean[:len(keys)], src_cov[:len(keys)]
+    start = len(keys)
+    for n in blocks[1:]:
+        mean[:n], cov[:n] = fuse_stacked(mean[:n], cov[:n],
+                                         src_mean[start:start + n],
+                                         src_cov[start:start + n])
+        start += n
+    return {key: GaussianEstimate(mean[r], cov[r])
+            for r, key in enumerate(keys)}
 
 
 def exploitation_waypoint(est: GaussianEstimate, viewpoint) -> np.ndarray:

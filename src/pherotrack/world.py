@@ -75,6 +75,20 @@ class WorldConfig:
 
     def validate(self):
         """Assumption gate: runs at load, aborts before any stepping."""
+        if len(self.domain) != 2 or min(self.domain) <= 0:
+            raise AssumptionError("domain must have two positive extents")
+        if self.cell_size <= 0:
+            raise AssumptionError("pheromone cell size must be positive")
+        if self.r_s <= 0:
+            raise AssumptionError("sensing radius must be positive")
+        if self.sigma_bar <= 0:
+            raise AssumptionError("target deletion threshold must be positive")
+        # Symmetric 2x2 PSD: nonnegative diagonal and determinant.
+        (a, b), (c, d) = self.r_dp.tolist()
+        if abs(b - c) > 1e-12 or min(a, d, a * d - b * c) < -1e-12:
+            raise AssumptionError(
+                "displacement noise r_dp must be symmetric positive "
+                "semi-definite")
         if self.r_s > self.r_c:
             raise AssumptionError(
                 "sensing-communication relation violated: r_s > r_c"
@@ -95,6 +109,8 @@ class WorldConfig:
             raise AssumptionError("pheromone parameters out of range")
         if self.rx_period < 1 or self.n_agents < 1:
             raise AssumptionError("counts and periods must be positive")
+        if self.n_targets < 0:
+            raise AssumptionError("target count must not be negative")
 
     def to_json(self, path):
         d = asdict(self)

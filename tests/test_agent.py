@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from pherotrack.agent import AgentBrain, ControlInput, PdGains, pd_control
+from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
 from pherotrack.sensing import AnalyticCovMap, SectorFov
@@ -192,3 +193,32 @@ def test_exploration_waypoint_stays_in_domain():
         goal = own + telem.waypoint
         assert -0.26 <= goal[0] <= 30.26
         assert -0.26 <= goal[1] <= 30.26
+
+
+def _np_clip_pd_control(wp, prev, gains, u_max):
+    """Reference: the PD law with np.clip, as the clamp was first written."""
+    bearing = math.atan2(wp[1], wp[0])
+    if prev is None or math.hypot(*prev) < 1e-12:
+        d_bearing = 0.0
+    else:
+        d_bearing = wrap_angle(bearing - math.atan2(prev[1], prev[0]))
+    u2 = gains.kp_theta * bearing + gains.kd_theta * d_bearing
+    u1 = gains.kp_r * math.hypot(*wp) * max(0.0, math.cos(bearing))
+    return (float(np.clip(u1, 0.0, u_max[0])),
+            float(np.clip(u2, -u_max[1], u_max[1])))
+
+
+def test_clamp_is_bit_identical_to_np_clip():
+    rng = np.random.default_rng(31)
+    u_max = np.array([0.4, math.radians(15.0)])
+    cases = [rng.uniform(-6, 6, 2) for _ in range(2000)]
+    cases += [np.array(v) for v in ((1e-9, 0.0), (-3.0, 0.0), (-3.0, -0.0),
+                                    (0.0, 2.0), (2.0, -0.0))]
+    for gains in (PdGains(), PdGains(kp_r=-0.5), PdGains(kp_r=0.0)):
+        for k, wp in enumerate(cases):
+            prev = cases[k - 1] if k % 3 else None
+            got = pd_control(wp, prev, gains, u_max)
+            want = _np_clip_pd_control(wp, prev, gains, u_max)
+            for g, w in zip((got.u1, got.u2), want):
+                assert g == w and math.copysign(1.0, g) == \
+                    math.copysign(1.0, w), (wp, prev, gains)

@@ -10,7 +10,8 @@ import pytest
 
 from pherotrack.estimation import (EPS_INV, GaussianEstimate,
                                    SingularCovarianceError, check_cov,
-                                   entropy, fuse, inv2, propagate)
+                                   entropy, fuse, fuse_stacked, inv2,
+                                   propagate)
 
 
 def random_pd(rng, floor=0.01):
@@ -74,6 +75,25 @@ def test_inv2_matches_numpy_and_guards_singularity():
         inv2(np.eye(2) * EPS_INV)
 
 
+def test_stacked_kernels_match_single_matrix_kernels_bit_for_bit():
+    rng = np.random.default_rng(29)
+    k = 200
+    a_mean, b_mean = rng.standard_normal((2, k, 2)) * 5
+    a_cov = np.array([random_pd(rng) for _ in range(k)])
+    b_cov = np.array([random_pd(rng) for _ in range(k)])
+    inv = inv2(a_cov)
+    mean, cov = fuse_stacked(a_mean, a_cov, b_mean, b_cov)
+    for i in range(k):
+        assert inv[i].tobytes() == inv2(a_cov[i]).tobytes()
+        want = fuse(GaussianEstimate(a_mean[i], a_cov[i]),
+                    GaussianEstimate(b_mean[i], b_cov[i]))
+        assert mean[i].tobytes() == want.mean.tobytes()
+        assert cov[i].tobytes() == want.cov.tobytes()
+    b_cov[k // 2] = 0.0
+    with pytest.raises(SingularCovarianceError):
+        fuse_stacked(a_mean, a_cov, b_mean, b_cov)
+
+
 def test_fuse_raises_on_singular_input():
     good = GaussianEstimate([0.0, 0.0], np.eye(2))
     bad = GaussianEstimate([0.0, 0.0], np.zeros((2, 2)))
@@ -104,6 +124,20 @@ def test_check_cov_validation():
         check_cov([[1.0, 0.5], [0.0, 1.0]])       # asymmetric
     with pytest.raises(ValueError):
         check_cov([[1.0, 0.0], [0.0, -1.0]])      # indefinite
+
+
+def test_estimate_converts_only_what_is_not_float64_of_its_shape():
+    m, c = np.array([1.0, 2.0]), np.eye(2)
+    e = GaussianEstimate(m, c)
+    assert e.mean is m and e.cov is c
+    for mean, cov in (([1, 2], [[1, 0], [0, 1]]),
+                      (np.array([[1.0, 2.0]]), np.eye(2).ravel()),
+                      (np.array([1.0, 2.0], dtype=np.float32), c)):
+        e = GaussianEstimate(mean, cov)
+        assert e.mean.dtype == np.float64 and e.mean.shape == (2,)
+        assert e.cov.dtype == np.float64 and e.cov.shape == (2, 2)
+        assert np.array_equal(e.mean, [1.0, 2.0])
+        assert np.array_equal(e.cov, np.eye(2))
 
 
 def test_estimate_copy_is_deep():

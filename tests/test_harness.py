@@ -8,9 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from pherotrack.harness import (ExperimentSpec, objective_H, read_runs_csv,
-                                run_monte_carlo, run_sweep, simulate_run,
-                                summarize, time_to_track)
+from pherotrack.harness import (TELEMETRY_COLUMNS, ExperimentSpec,
+                                objective_H, read_runs_csv, run_monte_carlo,
+                                run_sweep, simulate_run, summarize,
+                                time_to_track)
 from pherotrack.world import hardware_table_preset, sim_2d_preset
 from pherotrack import cli
 
@@ -153,6 +154,21 @@ def test_summary_recomputable_from_runs_csv(tmp_path):
     assert len(times) == summary["completed"]
     if times:
         assert float(np.mean(times)) == summary["mean_time_to_track"]
+
+
+def test_telemetry_header_matches_schema_and_readme(tmp_path):
+    spec = ExperimentSpec(config=small_cfg(), runs=1, max_steps=5,
+                          out_dir=str(tmp_path), dump_telemetry=True,
+                          stop_when_tracked=False)
+    run_monte_carlo(spec)
+    with open(tmp_path / "telemetry_seed0.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert tuple(rows[0]) == TELEMETRY_COLUMNS
+    assert len(rows) == 1 + 5 * 2
+    assert all(len(r) == len(TELEMETRY_COLUMNS) for r in rows)
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        assert f"`{', '.join(TELEMETRY_COLUMNS)}`" in f.read()
 
 
 def test_byte_identical_replay(tmp_path):

@@ -4,8 +4,9 @@ Each case is a short ``simulate_run`` without early stop.  Its digest hashes
 the exact float hex of the H series, the n_tracked series and
 ``time_to_track``, so any change in a single output bit fails the test.  The
 cases cover every search x assign pair the CLI accepts, the hardware-table
-preset (calibration-table sensing) and the odometry-noise path (sim-2d with
-``r_dp = 1e-3 I``, which diffuses every deposit).
+preset (calibration-table sensing), the odometry-noise path (sim-2d with
+``r_dp = 1e-3 I``, which diffuses every deposit) and correlated odometry
+noise.
 
 A change that is meant to alter the simulation re-records the digests with
 
@@ -38,6 +39,13 @@ CASES = {
     # A team step costs about 0.05-0.2 s here, so the run stays short.
     "sim2d-odometry": (lambda: sim_2d_preset(r_dp=((1e-3, 0.0), (0.0, 1e-3))),
                        "pheromone", "greedy-distributed", 15),
+    # Every other case has diagonal covariances only, which hide the rounding
+    # of the fusion's matrix-vector products; correlated odometry noise makes
+    # neighbor positions, and so lifted estimates, non-diagonal.
+    "levy/correlated-odometry": (
+        lambda: sim_2d_preset(domain=(16.0, 16.0), n_agents=4, n_targets=3,
+                              r_dp=((2e-3, 1.5e-3), (1.5e-3, 2e-3))),
+        "levy", "greedy-distributed", PAIR_STEPS),
 }
 
 GOLDEN = {
@@ -52,6 +60,7 @@ GOLDEN = {
     "antiflocking/local-greedy": ("832c78e0b8986f53", "04c5dadb29962c98"),
     "hardware-table": ("723501f2d3de21e2", "23c77980c5fb09ca"),
     "sim2d-odometry": ("daaf5693712ccf65", "72ea7933709ae613"),
+    "levy/correlated-odometry": ("37f1ade69b66a5bd", "8860aab6f3d98423"),
 }
 
 

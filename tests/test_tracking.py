@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from pherotrack.estimation import GaussianEstimate, entropy, fuse, propagate
+from pherotrack.estimation import (GaussianEstimate, SingularCovarianceError,
+                                   entropy, fuse, propagate)
 from pherotrack.tracking import (LocalTargetList, NeighborTargetList,
                                  TargetRecord, TrackerConfig,
-                                 UnknownTargetError, combined_estimate,
-                                 exploitation_waypoint, select_target,
-                                 transform_neighbor_estimate, update_storage)
+                                 combined_estimate, exploitation_waypoint,
+                                 select_target, transform_neighbor_estimate,
+                                 update_storage)
 
 
 def cfg(**kw):
-    base = dict(q_bar=0.01 * np.eye(2), sigma_bar=3600.0, k_p=1.0,
-                motion_var=0.16)
+    base = dict(q_bar=0.01 * np.eye(2), sigma_bar=3600.0, motion_var=0.16)
     base.update(kw)
     return TrackerConfig(**base)
 
@@ -222,7 +222,7 @@ def test_combined_estimate_matches_manual_fusion():
     local.records[4] = TargetRecord(4, est([1.0, 0.0], 0.2))
     nl = NeighborTargetList(2, {4: TargetRecord(4, est([0.5, 0.5], 0.3))},
                             rel_pos=est([0.4, -0.4], 0.1))
-    got = combined_estimate(4, local, {2: nl})
+    got = combined_estimate([(local, {2: nl})], [4])[(0, 4)]
     lifted = transform_neighbor_estimate(nl.records[4].estimate, nl.rel_pos)
     want = fuse(est([1.0, 0.0], 0.2), lifted)
     assert np.allclose(got.mean, want.mean, atol=1e-12)
@@ -230,9 +230,93 @@ def test_combined_estimate_matches_manual_fusion():
     assert entropy(got.cov) <= entropy(0.2 * np.eye(2))
 
 
-def test_combined_estimate_unknown_target_raises():
-    with pytest.raises(UnknownTargetError):
-        combined_estimate(9, LocalTargetList(), {})
+def test_combined_estimate_unknown_pair_absent():
+    assert combined_estimate([(LocalTargetList(), {})], [9]) == {}
+    local = LocalTargetList({1: TargetRecord(1, est([1.0, 0.0], 0.2))})
+    # Agent 1 knows target 2 only through a neighbor without a position.
+    blind = NeighborTargetList(5, {2: TargetRecord(2, est([0.0, 1.0], 0.1))})
+    got = combined_estimate([(local, {}), (LocalTargetList(), {5: blind})],
+                            [1, 2, 3])
+    assert set(got) == {(0, 1)}
+
+
+def _random_cov(rng):
+    m = rng.standard_normal((2, 2)) * rng.choice([0.05, 1.0, 20.0])
+    return m @ m.T + rng.choice([1e-3, 0.05, 1.0]) * np.eye(2)
+
+
+def _random_estimate(rng):
+    return GaussianEstimate(rng.uniform(-20.0, 20.0, 2), _random_cov(rng))
+
+
+def _random_holdings(rng, n_agents, target_ids):
+    holdings = []
+    for a in range(1, n_agents + 1):
+        local = LocalTargetList({
+            t: TargetRecord(t, _random_estimate(rng))
+            for t in target_ids if rng.random() < 0.5})
+        neighbors = {}
+        for nid in rng.permutation(np.arange(1, n_agents + 1)).tolist():
+            if nid == a or rng.random() < 0.3:
+                continue
+            records = {t: TargetRecord(t, _random_estimate(rng))
+                       for t in target_ids if rng.random() < 0.6}
+            rel_pos = _random_estimate(rng) if rng.random() < 0.7 else None
+            neighbors[nid] = NeighborTargetList(nid, records, rel_pos)
+        holdings.append((local, neighbors))
+    return holdings
+
+
+def _sources(local, neighbors, tid):
+    """Today's source order: the local record, then lifted neighbor records."""
+    sources = []
+    if tid in local.records:
+        sources.append(local.records[tid].estimate)
+    for nid in sorted(neighbors):
+        nl = neighbors[nid]
+        if tid in nl.records and nl.rel_pos is not None:
+            rec = nl.records[tid].estimate
+            sources.append(GaussianEstimate(rec.mean + nl.rel_pos.mean,
+                                            rec.cov + nl.rel_pos.cov))
+    return sources
+
+
+def test_combined_estimate_bit_identical_to_sequential_fusion():
+    rng = np.random.default_rng(23)
+    n_pairs = n_fused = 0
+    for _ in range(300):
+        target_ids = list(range(1, int(rng.integers(1, 7)) + 1))
+        holdings = _random_holdings(rng, int(rng.integers(1, 9)), target_ids)
+        got = combined_estimate(holdings, target_ids)
+        n_known = 0
+        for a, (local, neighbors) in enumerate(holdings):
+            for tid in target_ids:
+                sources = _sources(local, neighbors, tid)
+                if not sources:
+                    assert (a, tid) not in got
+                    continue
+                # Reference: a sequential loop over estimation.fuse.
+                want = sources[0]
+                for s in sources[1:]:
+                    want = fuse(want, s)
+                e = got[(a, tid)]
+                # Bit for bit, not allclose: the batch must not move outputs.
+                assert e.mean.tobytes() == want.mean.tobytes()
+                assert e.cov.tobytes() == want.cov.tobytes()
+                n_known += 1
+                n_fused += len(sources) > 1
+        assert len(got) == n_known
+        n_pairs += n_known
+    assert n_pairs > 1000 and n_fused > 500
+
+
+def test_combined_estimate_singular_covariance_raises():
+    local = LocalTargetList({1: TargetRecord(1, est([1.0, 0.0], 0.2))})
+    nl = NeighborTargetList(2, {1: TargetRecord(
+        1, GaussianEstimate([0.0, 0.0], np.zeros((2, 2))))},
+        rel_pos=GaussianEstimate([0.5, 0.5], np.zeros((2, 2))))
+    with pytest.raises(SingularCovarianceError):
+        combined_estimate([(LocalTargetList(), {}), (local, {2: nl})], [1])
 
 
 def test_exploitation_waypoint():

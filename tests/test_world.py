@@ -44,6 +44,42 @@ def test_gate_rejects_bad_pheromone_and_count_parameters():
         WorldConfig(rx_period=0)
 
 
+def test_gate_rejects_degenerate_domain():
+    with pytest.raises(AssumptionError):
+        WorldConfig(domain=(-5.0, 10.0))
+    with pytest.raises(AssumptionError):
+        WorldConfig(domain=(30.0, 0.0))
+
+
+def test_gate_rejects_nonpositive_cell_size():
+    with pytest.raises(AssumptionError):
+        WorldConfig(cell_size=0.0)
+
+
+def test_gate_rejects_non_psd_odometry_noise():
+    with pytest.raises(AssumptionError):
+        WorldConfig(r_dp=((1e-3, 0.0), (0.0, -1e-3)))      # indefinite
+    with pytest.raises(AssumptionError):
+        WorldConfig(r_dp=((1e-3, 5e-4), (0.0, 1e-3)))      # asymmetric
+    WorldConfig(r_dp=((1e-3, 5e-4), (5e-4, 1e-3)))         # correlated is fine
+
+
+def test_gate_rejects_negative_target_count():
+    with pytest.raises(AssumptionError):
+        WorldConfig(n_targets=-1)
+    WorldConfig(n_targets=0)          # an empty world is legal, just censored
+
+
+def test_gate_rejects_nonpositive_sensing_radius():
+    with pytest.raises(AssumptionError):
+        WorldConfig(r_s=0.0)
+
+
+def test_gate_rejects_nonpositive_deletion_threshold():
+    with pytest.raises(AssumptionError):
+        WorldConfig(sigma_bar=-1.0)
+
+
 def test_presets_pass_the_gate():
     for name, factory in PRESETS.items():
         factory().validate()
