@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pheromone as ph
-from .estimation import GaussianEstimate
+from .estimation import EYE2, GaussianEstimate
 from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint, contains,
                       rot2, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
@@ -135,6 +135,7 @@ class AgentBrain:
         return "exploit" if self.selected_target > 0 else "explore"
 
     def snapshot_packet(self) -> BroadcastPacket:
+        # Copies share their arrays: updates rebind them, never write them.
         return BroadcastPacket(
             sender=self.agent_id,
             pheromones=self.own_pheromones.copy(),
@@ -143,14 +144,25 @@ class AgentBrain:
 
     # -- pheromone search helpers ------------------------------------------
 
-    def _all_pheromones(self):
-        lists = [self.own_pheromones] + list(self.neighbor_pheromones.values())
-        lists = [pl for pl in lists if len(pl)]
-        if not lists:
-            return np.empty((0, 2)), np.empty(0), np.empty((0, 2, 2))
-        return (np.concatenate([pl.positions for pl in lists]),
-                np.concatenate([pl.weights for pl in lists]),
-                np.concatenate([pl.covs for pl in lists]))
+    def _all_pheromones(self) -> ph.PheromoneList:
+        """Every held deposit, own and neighbors', as one list."""
+        return ph.PheromoneList(self.agent_id, np.concatenate(
+            [self.own_pheromones.rows]
+            + [pl.rows for pl in self.neighbor_pheromones.values()]))
+
+    def pheromone_map(self, deposits=None) -> ph.PheromoneGrid:
+        """The map this agent steers by, built from ``deposits`` (default:
+        every held deposit): stamped disks for delta-kernel deposits, else
+        the maximum of every deposit's diffused region."""
+        if deposits is None:
+            deposits = self._all_pheromones()
+        radius = self.pher_cfg.footprint_radius
+        if deposits.delta_only():
+            return ph.delta_map(deposits.positions, deposits.weights, radius,
+                                self.grid_geom)
+        regions = [ph.diffuse_region(p, radius, self.grid_geom)
+                   for p in deposits.items()]
+        return ph.build_map(regions, self.grid_geom)
 
     def _clamp_rel(self, rel, own_pos):
         """Clamp a relative point into the physical domain, when known.
@@ -175,37 +187,29 @@ class AgentBrain:
     def _domain_mask(self, own_pos):
         if self.domain is None or own_pos is None:
             return None
-        xs, ys = self.grid_geom.centers()
-        gx, gy = xs + own_pos[0], ys + own_pos[1]
-        return ((gx >= 0.0) & (gx <= self.domain[0])
-                & (gy >= 0.0) & (gy <= self.domain[1]))
+        coords = self.grid_geom.coords
+        gx, gy = coords + own_pos[0], coords + own_pos[1]
+        in_x = (gx >= 0.0) & (gx <= self.domain[0])
+        in_y = (gy >= 0.0) & (gy <= self.domain[1])
+        return in_x[:, None] & in_y[None, :]
 
     def _pheromone_waypoint(self, shift, own_pos=None):
-        positions, weights, covs = self._all_pheromones()
-        delta_only = len(covs) == 0 or np.abs(covs).max() <= 1e-12
-        radius = self.pher_cfg.footprint_radius
-
-        if delta_only and self.carried is not None:
+        deposits = self._all_pheromones()
+        if self.carried is not None and deposits.delta_only():
             # Cheap recompute test without materializing the raster.
             wp = self.carried[0] + shift
             norm = math.hypot(wp[0], wp[1])
-            value = ph.pheromone_value_at(wp, positions, weights, radius,
-                                          self.grid_geom)
+            value = ph.pheromone_value_at(
+                wp, deposits.positions, deposits.weights,
+                self.pher_cfg.footprint_radius, self.grid_geom)
             if (norm >= self.q_star and norm <= self.r_c
                     and self._in_domain(wp, own_pos)
                     and value <= self.carried[1] + ph.ARGMIN_TOL):
                 self.carried = (wp, value)
                 return wp
 
-        if delta_only:
-            grid = ph.delta_map(positions, weights, radius, self.grid_geom)
-        else:
-            regions = [ph.diffuse_region(p, radius, self.grid_geom)
-                       for pl in ([self.own_pheromones]
-                                  + list(self.neighbor_pheromones.values()))
-                       for p in pl.items()]
-            grid = ph.build_map(regions, self.grid_geom)
-        wp, w = ph.exploration_waypoint(grid, self.carried, shift, self.r_c,
+        wp, w = ph.exploration_waypoint(self.pheromone_map(deposits),
+                                        self.carried, shift, self.r_c,
                                         self.q_star, self.rng,
                                         valid=self._domain_mask(own_pos))
         self.carried = (wp, w)
@@ -232,22 +236,23 @@ class AgentBrain:
         det_ids = {tid for tid, _ in detections}
         sector = SectorFov(max(self.fov.range_bl - 0.25, 1e-6),
                            max(self.fov.half_angle - 0.05, 1e-6), heading)
-        bump = self.miss_growth * np.eye(2)
+        bump = self.miss_growth * EYE2
         lifetime = self.pher_cfg.max_list_length()
-
-        check_cover = False
-        if self.search == "pheromone":
-            positions, weights, covs = self._all_pheromones()
-            check_cover = (len(weights) > 0
-                           and (len(covs) == 0 or np.abs(covs).max() <= 1e-12))
+        deposits = None   # gathered on first need
 
         def searched_since(mean, last_update):
-            if not check_cover or self.step_count - last_update <= lifetime:
+            nonlocal deposits
+            if self.search != "pheromone" \
+                    or self.step_count - last_update <= lifetime:
                 return False
             if math.hypot(mean[0], mean[1]) > self.r_c:
                 return False
+            if deposits is None:
+                deposits = self._all_pheromones()
+            if not len(deposits) or not deposits.delta_only():
+                return False
             value = ph.pheromone_value_at(
-                mean, positions, weights,
+                mean, deposits.positions, deposits.weights,
                 self.pher_cfg.footprint_radius, self.grid_geom)
             return value > self.pher_cfg.w_floor
 

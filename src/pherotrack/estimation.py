@@ -21,6 +21,10 @@ EPS_INV = 1e-9
 
 _F64 = np.dtype(float)
 
+# The 2x2 identity, shared read-only; build scaled copies with ``s * EYE2``.
+EYE2 = np.eye(2)
+EYE2.flags.writeable = False
+
 
 class SingularCovarianceError(ValueError):
     """A covariance could not be inverted safely.

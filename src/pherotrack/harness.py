@@ -20,7 +20,7 @@ from . import world as wd
 from .agent import AgentBrain, PdGains
 from .baselines import (AuctionConfig, LevyConfig, VisitedMap,
                         antiflocking_waypoint, auction_assign, levy_waypoint)
-from .pheromone import GridGeometry, PheromoneConfig, delta_map
+from .pheromone import GridGeometry, PheromoneConfig
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
 from .tracking import TrackerConfig, combined_estimate, entropy
 
@@ -339,11 +339,8 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
     if dump_maps_dir is not None and search == "pheromone":
         os.makedirs(dump_maps_dir, exist_ok=True)
         for i, b in enumerate(brains):
-            positions, weights, _ = b._all_pheromones()
-            grid = delta_map(positions, weights, b.pher_cfg.footprint_radius,
-                             b.grid_geom)
-            grid.to_pgm(os.path.join(dump_maps_dir,
-                                     f"agent{i + 1}_seed{seed}.pgm"))
+            b.pheromone_map().to_pgm(os.path.join(
+                dump_maps_dir, f"agent{i + 1}_seed{seed}.pgm"))
     return metrics
 
 

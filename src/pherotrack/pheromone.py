@@ -1,7 +1,7 @@
 """Virtual pheromone storage, diffusion, mapping, and exploration waypoints.
 
-Pheromone deposits are (position, covariance, weight) triples kept in the
-depositing agent's local frame.  Received neighbor deposits are converted
+Pheromone deposits are (position, covariance, weight) triples, stored one
+row per deposit and kept in the depositing agent's local frame.  Received neighbor deposits are converted
 into the local frame at receipt (using the fused neighbor relative position)
 so that every stored position can be shifted uniformly with agent motion.
 
@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve
+
+from .estimation import EYE2
 
 # Covariances whose largest entry is below this are treated as delta kernels.
 _DELTA_COV_TOL = 1e-12
@@ -38,30 +41,60 @@ class Pheromone:
         self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
 
 
+# Columns of a deposit row: position (x, y), covariance entries (c00, c01,
+# c10, c11) and weight.
+_ROW_WIDTH = 7
+_WEIGHT = 6
+
+
 @dataclass
 class PheromoneList:
-    """Deposits of one owner, stored as parallel arrays for fast updates."""
+    """Deposits of one owner, one row each (see ``_ROW_WIDTH``).
+
+    ``rows`` is never changed in place: every update builds a new array, so
+    a broadcast snapshot (:meth:`copy`) shares it with the list it was taken
+    from.
+    """
 
     owner: int
-    positions: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    covs: np.ndarray = field(default_factory=lambda: np.empty((0, 2, 2)))
-    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rows: np.ndarray = field(
+        default_factory=lambda: np.empty((0, _ROW_WIDTH)))
 
     def __len__(self):
-        return len(self.weights)
+        return len(self.rows)
+
+    @property
+    def positions(self):
+        return self.rows[:, :2]
+
+    @property
+    def covs(self):
+        return self.rows[:, 2:6].reshape(-1, 2, 2)
+
+    @property
+    def weights(self):
+        return self.rows[:, _WEIGHT]
+
+    def delta_only(self) -> bool:
+        """Whether every deposit's covariance is negligible (delta kernel)."""
+        return not len(self.rows) \
+            or np.abs(self.rows[:, 2:6]).max() <= _DELTA_COV_TOL
 
     def items(self):
         return [Pheromone(p, c, float(w))
                 for p, c, w in zip(self.positions, self.covs, self.weights)]
 
     def append(self, position, cov, weight):
-        self.positions = np.vstack([self.positions, np.reshape(position, (1, 2))])
-        self.covs = np.concatenate([self.covs, np.reshape(cov, (1, 2, 2))])
-        self.weights = np.append(self.weights, weight)
+        self.rows = np.vstack([self.rows, _row(position, cov, weight)])
 
     def copy(self):
-        return PheromoneList(self.owner, self.positions.copy(),
-                             self.covs.copy(), self.weights.copy())
+        """A list of the same deposits; shares ``rows``, which nothing
+        changes in place."""
+        return PheromoneList(self.owner, self.rows)
+
+
+def _row(position, cov, weight):
+    return np.concatenate((np.ravel(position), np.ravel(cov), (weight,)))
 
 
 @dataclass
@@ -79,6 +112,10 @@ class PheromoneConfig:
             raise ValueError("need 0 < floor < initial weight")
 
     def max_list_length(self):
+        return self._max_list_length
+
+    @cached_property
+    def _max_list_length(self):
         # A deposit survives until w_init (1 - decay)^n <= floor.
         return int(math.ceil(math.log(self.w_floor / self.w_init)
                              / math.log(1.0 - self.w_decay))) + 1
@@ -86,7 +123,11 @@ class PheromoneConfig:
 
 @dataclass
 class GridGeometry:
-    """Square raster centered on the agent, covering B(0, radius)."""
+    """Square raster centered on the agent, covering B(0, radius).
+
+    The cell-center grids and ball masks are built on first use and shared
+    read-only by every caller.
+    """
 
     radius: float
     cell_size: float = 0.25
@@ -95,19 +136,39 @@ class GridGeometry:
         self.n = int(math.ceil(2.0 * self.radius / self.cell_size))
         # Cell-center coordinates along one axis.
         self.coords = (np.arange(self.n) + 0.5) * self.cell_size - self.radius
+        self._ball_masks = {}
 
     def centers(self):
-        xs, ys = np.meshgrid(self.coords, self.coords, indexing="ij")
-        return xs, ys
+        return self._centers
 
-    def in_ball_mask(self):
-        xs, ys = self.centers()
-        return xs ** 2 + ys ** 2 <= self.radius ** 2
+    @cached_property
+    def _centers(self):
+        xs, ys = np.meshgrid(self.coords, self.coords, indexing="ij")
+        return _read_only(xs), _read_only(ys)
+
+    def in_ball_mask(self, r=None):
+        """Cells whose centers lie within ``r`` of the origin; ``r`` is the
+        grid radius when omitted and never exceeds it."""
+        r = self.radius if r is None else min(r, self.radius)
+        mask = self._ball_masks.get(r)
+        if mask is None:
+            xs, ys = self.centers()
+            mask = self._ball_masks[r] = _read_only(xs ** 2 + ys ** 2
+                                                    <= r ** 2)
+        return mask
 
     def index_of(self, point):
-        i = int(np.clip((point[0] + self.radius) / self.cell_size, 0, self.n - 1))
-        j = int(np.clip((point[1] + self.radius) / self.cell_size, 0, self.n - 1))
+        # min(max(x, 0), n - 1) is np.clip's rule for one float, and int()
+        # raises the same ValueError on NaN.
+        top = self.n - 1
+        i = int(min(max((point[0] + self.radius) / self.cell_size, 0), top))
+        j = int(min(max((point[1] + self.radius) / self.cell_size, 0), top))
         return i, j
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -147,37 +208,34 @@ def update_pheromones(own: PheromoneList, neighbor_lists: dict, rx_packets,
     ``offset`` is the sender's relative position in the local frame.
     Mutates ``own`` and ``neighbor_lists`` in place.
     """
-    shift = np.asarray(shift, dtype=float).reshape(2)
-    sigma_shift = np.asarray(sigma_shift, dtype=float).reshape(2, 2)
-
-    _decay_in_place(own, cfg, shift, sigma_shift)
-    own.append(shift, sigma_shift, cfg.w_init)
+    # One round scales a row by ``scale`` (the weight decays), then adds
+    # ``growth`` (the shift to the position, its covariance to the
+    # covariance).  A product with 1.0 and a sum with -0.0 change no bits.
+    scale = np.array((1.0,) * _WEIGHT + (1.0 - cfg.w_decay,))
+    growth = _row(shift, sigma_shift, -0.0)
+    fresh = growth.copy()
+    fresh[_WEIGHT] = cfg.w_init
+    own.rows = np.concatenate((_decayed(own.rows, scale, growth, cfg),
+                               fresh[None]))
 
     heard_from = set()
     for sender, plist, offset in rx_packets:
         heard_from.add(sender)
-        converted = plist.copy()
-        if len(converted):
-            converted.positions = converted.positions + np.reshape(offset, (1, 2))
-        neighbor_lists[sender] = converted
+        rows = plist.rows.copy()
+        rows[:, :2] += offset
+        neighbor_lists[sender] = PheromoneList(plist.owner, rows)
 
     for nid, plist in neighbor_lists.items():
-        if nid in heard_from:
-            continue
-        _decay_in_place(plist, cfg, shift, sigma_shift)
+        if nid not in heard_from and len(plist):
+            plist.rows = _decayed(plist.rows, scale, growth, cfg)
 
 
-def _decay_in_place(plist: PheromoneList, cfg, shift, sigma_shift):
-    if not len(plist):
-        return
-    plist.positions = plist.positions + shift
-    plist.covs = plist.covs + sigma_shift
-    plist.weights = plist.weights * (1.0 - cfg.w_decay)
-    keep = plist.weights > cfg.w_floor
-    if not keep.all():
-        plist.positions = plist.positions[keep]
-        plist.covs = plist.covs[keep]
-        plist.weights = plist.weights[keep]
+def _decayed(rows, scale, growth, cfg: PheromoneConfig):
+    """``rows`` after one round, without the deposits at or below the
+    floor."""
+    out = rows * scale
+    out += growth
+    return out.compress(out[:, _WEIGHT] > cfg.w_floor, axis=0)
 
 
 def diffuse_region(p: Pheromone, footprint_radius: float,
@@ -205,7 +263,7 @@ def diffuse_region(p: Pheromone, footprint_radius: float,
     half = max(1, int(math.ceil(3.0 * sig_max / geometry.cell_size)))
     ax = np.arange(-half, half + 1) * geometry.cell_size
     kx, ky = np.meshgrid(ax, ax, indexing="ij")
-    cov = p.cov + np.eye(2) * 1e-12
+    cov = p.cov + EYE2 * 1e-12
     inv = np.linalg.inv(cov)
     quad = inv[0, 0] * kx ** 2 + 2 * inv[0, 1] * kx * ky + inv[1, 1] * ky ** 2
     kernel = np.exp(-0.5 * quad)
@@ -236,30 +294,43 @@ def delta_map(positions, weights, footprint_radius: float,
     """Fast map build for delta-kernel (zero-covariance) deposits.
 
     Equivalent to :func:`build_map` over :func:`diffuse_region` outputs when
-    every covariance is negligible, but stamps only the sub-window each disk
-    touches.  Used by the agent loop in the ideal-simulation presets.
+    every covariance is negligible, but stamps only the window of cells each
+    disk can touch.  Weights must be finite and nonnegative.
     """
-    grid = np.zeros((geometry.n, geometry.n))
-    if len(weights) == 0:
-        return PheromoneGrid(geometry, grid)
-    cell = geometry.cell_size
-    half = int(math.ceil(footprint_radius / cell)) + 1
-    order = np.argsort(weights)  # stamp strongest last; max makes order moot
-    coords = geometry.coords
-    r2 = footprint_radius ** 2
-    for idx in order:
-        px, py = positions[idx]
-        i0, j0 = geometry.index_of((px, py))
-        lo_i, hi_i = max(0, i0 - half), min(geometry.n, i0 + half + 1)
-        lo_j, hi_j = max(0, j0 - half), min(geometry.n, j0 + half + 1)
-        if lo_i >= hi_i or lo_j >= hi_j:
-            continue
-        dx = coords[lo_i:hi_i] - px
-        dy = coords[lo_j:hi_j] - py
-        mask = dx[:, None] ** 2 + dy[None, :] ** 2 <= r2
-        sub = grid[lo_i:hi_i, lo_j:hi_j]
-        np.maximum(sub, np.where(mask, weights[idx], 0.0), out=sub)
-    return PheromoneGrid(geometry, grid)
+    # A cell-wise max of constant weights does not depend on the order the
+    # disks are stamped in, and disks at one position differ only in weight,
+    # so only the largest counts (a parked agent leaves many such deposits).
+    strongest = {}
+    for point, w in zip(
+            map(tuple, np.asarray(positions, dtype=float).reshape(-1, 2)
+                .tolist()),
+            np.asarray(weights, dtype=float).tolist()):
+        if w > strongest.get(point, -math.inf):
+            strongest[point] = w
+
+    n = geometry.n
+    half = int(math.ceil(footprint_radius / geometry.cell_size)) + 1
+    width = 2 * half + 1
+    # Windows are width x width cells centered on the cell holding the
+    # deposit, on a raster padded by ``half`` cells per side so that every
+    # window fits.  The padding is cropped off at the end, so what is
+    # stamped there, and the coordinates it is given, do not matter.
+    coords = np.pad(geometry.coords, half)
+    corner = np.array([geometry.index_of(p) for p in strongest],
+                      dtype=np.intp).reshape(-1, 2)
+    centers = np.array(list(strongest)).reshape(-1, 2)
+    d2 = (coords[corner[:, :, None] + np.arange(width)]
+          - centers[:, :, None]) ** 2
+    stamps = d2[:, 0, :, None] + d2[:, 1, None, :]
+    # True * w is w and False * w is +0.0.
+    np.multiply(stamps <= footprint_radius ** 2,
+                np.array(list(strongest.values()))[:, None, None],
+                out=stamps)
+    padded = np.zeros((n + 2 * half, n + 2 * half))
+    for (i, j), stamp in zip(corner.tolist(), stamps):
+        window = padded[i:i + width, j:j + width]
+        np.maximum(window, stamp, out=window)
+    return PheromoneGrid(geometry, padded[half:-half, half:-half].copy())
 
 
 def pheromone_value_at(point, positions, weights, footprint_radius: float,
@@ -309,11 +380,11 @@ def exploration_waypoint(grid: PheromoneGrid, carried, shift, r_c: float,
         return wp, grid.value_at(wp)
 
     geom = grid.geometry
-    mask = _ball_mask(geom, r_c)
+    mask = geom.in_ball_mask(r_c)
     if valid is not None:
         mask = mask & valid
         if not mask.any():
-            mask = _ball_mask(geom, r_c)
+            mask = geom.in_ball_mask(r_c)
     vals = np.where(mask, grid.weights, np.inf)
     vmin = vals.min()
     ties = np.argwhere(vals <= vmin + ARGMIN_TOL)
@@ -321,9 +392,3 @@ def exploration_waypoint(grid: PheromoneGrid, carried, shift, r_c: float,
     wp = np.array([geom.coords[pick[0]], geom.coords[pick[1]]])
     return wp, float(grid.weights[pick[0], pick[1]])
 
-
-def _ball_mask(geom: GridGeometry, r_c: float):
-    if r_c >= geom.radius:
-        return geom.in_ball_mask()
-    xs, ys = geom.centers()
-    return xs ** 2 + ys ** 2 <= r_c ** 2

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (GaussianEstimate, entropy, fuse, fuse_stacked,
-                         propagate)
+from .estimation import (EYE2, GaussianEstimate, entropy, fuse,
+                         fuse_stacked, propagate)
 
 
 @dataclass
@@ -23,7 +23,12 @@ class TargetRecord:
     last_update_step: int = 0
 
     def copy(self):
-        return TargetRecord(self.target_id, self.estimate.copy(),
+        """A record and estimate of its own that share the mean and
+        covariance arrays: holders rebind those attributes, never write
+        into the arrays."""
+        est = self.estimate
+        return TargetRecord(self.target_id,
+                            GaussianEstimate(est.mean, est.cov),
                             self.last_update_step)
 
 
@@ -96,7 +101,7 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     # position loses information every step regardless of what we hear;
     # without this growth repeated fusion turns p-hat overconfident and the
     # stale mean poisons every lifted estimate.
-    rel_growth = sigma_shift + cfg.motion_var * np.eye(2)
+    rel_growth = sigma_shift + cfg.motion_var * EYE2
 
     heard_from = set()
     for sender, records, rel_meas in rx_packets:

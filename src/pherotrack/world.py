@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .estimation import GaussianEstimate
+from .estimation import EYE2, GaussianEstimate
 from .sensing import AnalyticCovMap, wrap_angle
 
 
@@ -227,7 +227,7 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
     np.clip(state.agent_pos[:, 0], 0.0, w, out=state.agent_pos[:, 0])
     np.clip(state.agent_pos[:, 1], 0.0, h, out=state.agent_pos[:, 1])
 
-    chol = np.linalg.cholesky(cfg.q_k + np.eye(2) * 1e-15)
+    chol = np.linalg.cholesky(cfg.q_k + EYE2 * 1e-15)
     for k in range(len(state.target_pos)):
         noise = cfg.noise_scale * (chol @ state.target_rngs[k].standard_normal(2))
         x = state.target_pos[k, 0] + noise[0]
@@ -257,9 +257,7 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
     is handed to the tracker alongside the measurement.  Target ids are
     1-based (0 is the explore sentinel).
     """
-    if cov_at is None:
-        cmap = cfg.cov_map()
-        cov_at = lambda r, phi: max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
+    cmap = cfg.cov_map() if cov_at is None else None
     out = []
     rng = state.sense_rngs[agent]
     for k in range(len(state.target_pos)):
@@ -271,9 +269,16 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
                              - state.agent_heading[agent])
         if abs(bearing) > cfg.half_angle:
             continue
-        cov = cov_at(r, bearing)
-        noise = cfg.noise_scale * (np.linalg.cholesky(cov)
-                                   @ rng.standard_normal(2))
+        if cmap is None:
+            cov = cov_at(r, bearing)
+            noise = np.linalg.cholesky(cov) @ rng.standard_normal(2)
+        else:
+            # The analytic covariance is var * I, whose Cholesky factor is
+            # sqrt(var) * I; scaling the draw gives the product's bits.
+            var = max(cmap.eta(r, bearing), cmap.eta_floor)
+            cov = var * EYE2
+            noise = math.sqrt(var) * rng.standard_normal(2)
+        noise = cfg.noise_scale * noise
         out.append((k + 1, GaussianEstimate(rel + noise, cov)))
     return out
 
@@ -284,7 +289,7 @@ def sense_displacement(state: WorldState, agent: int, prev_pos,
     true_dp = state.agent_pos[agent] - np.asarray(prev_pos, dtype=float)
     if np.abs(cfg.r_dp).max() <= 0:
         return true_dp.copy(), cfg.r_dp.copy()
-    noise = cfg.noise_scale * (np.linalg.cholesky(cfg.r_dp + np.eye(2) * 1e-15)
+    noise = cfg.noise_scale * (np.linalg.cholesky(cfg.r_dp + EYE2 * 1e-15)
                                @ state.sense_rngs[agent].standard_normal(2))
     return true_dp + noise, cfg.r_dp.copy()
 
@@ -318,7 +323,7 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
                 sender=packet.sender,
                 pheromones=packet.pheromones,
                 targets=packet.targets,
-                rel_pos=GaussianEstimate(rel + noise, var * np.eye(2)),
+                rel_pos=GaussianEstimate(rel + noise, var * EYE2),
             )
             rx[i].append(delivered)
     return rx

@@ -9,7 +9,7 @@ from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
 from pherotrack.sensing import AnalyticCovMap, SectorFov
-from pherotrack.tracking import TargetRecord, TrackerConfig
+from pherotrack.tracking import TargetRecord, TrackerConfig, update_storage
 
 U_MAX = (0.4, math.radians(15.0))
 
@@ -222,3 +222,37 @@ def test_clamp_is_bit_identical_to_np_clip():
             for g, w in zip((got.u1, got.u2), want):
                 assert g == w and math.copysign(1.0, g) == \
                     math.copysign(1.0, w), (wp, prev, gains)
+
+
+def test_broadcast_records_share_arrays_but_never_mutations():
+    sender = make_brain(agent_id=2)
+    rec = TargetRecord(1, GaussianEstimate([1.0, 0.0], 0.04 * np.eye(2)))
+    sender.local_targets.records[1] = rec
+    packet = sender.snapshot_packet()
+    sent = packet.targets[0]
+    # One record and estimate per holder; the arrays are not copied.
+    assert sent is not rec and sent.estimate is not rec.estimate
+    assert sent.estimate.mean is rec.estimate.mean
+    assert sent.estimate.cov is rec.estimate.cov
+
+    rel = GaussianEstimate([1.0, 0.0], 0.01 * np.eye(2))
+    a, b = make_brain(agent_id=1, miss_growth=1.0), make_brain(agent_id=3)
+    for r in (a, b):
+        update_storage(r.local_targets, r.neighbor_targets, [],
+                       [(2, packet.targets, rel)], np.zeros(2),
+                       np.zeros((2, 2)), r.tracker_cfg)
+    held_a = a.neighbor_targets[2].records[1]
+    held_b = b.neighbor_targets[2].records[1]
+    assert held_a is not held_b and held_a.estimate is not held_b.estimate
+    assert held_a.estimate.cov is rec.estimate.cov
+
+    # Agent a looks at the lifted mean (2, 0) and misses it: bump.  Then it
+    # hears nothing for a step: silent growth.
+    a._apply_negative_info([], 0.0, np.array([15.0, 15.0]))
+    assert held_a.estimate.cov[0, 0] == 0.04 + 1.0
+    update_storage(a.local_targets, a.neighbor_targets, [], [], np.zeros(2),
+                   np.zeros((2, 2)), a.tracker_cfg, step=1)
+    assert held_a.estimate.cov[0, 0] == 0.04 + 1.0 + 0.01
+    for r in (rec, sent, held_b):
+        assert np.array_equal(r.estimate.cov, 0.04 * np.eye(2))
+        assert np.array_equal(r.estimate.mean, [1.0, 0.0])

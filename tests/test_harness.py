@@ -231,6 +231,41 @@ def test_pheromone_map_dump(tmp_path):
     assert head[1] == "96 96"     # ceil(2 * 12 / 0.25) cells per side
 
 
+def test_map_dump_is_the_map_the_agent_steers_by(tmp_path, monkeypatch):
+    # Under odometry noise deposits carry a covariance and the agent steers
+    # by the diffused map; the dump must show that map, not stamped disks.
+    import pherotrack.harness as harness
+    from pherotrack.pheromone import delta_map
+
+    built = []
+    real_build = harness.build_brains
+
+    def capture(*args):
+        out = real_build(*args)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(harness, "build_brains", capture)
+    noisy = small_cfg(r_dp=((1e-3, 0.0), (0.0, 1e-3)))
+    for cfg, sub in ((noisy, "noisy"), (small_cfg(), "quiet")):
+        simulate_run(cfg, "pheromone", "greedy-distributed", max_steps=4,
+                     seed=2, stop_when_tracked=False,
+                     dump_maps_dir=str(tmp_path / sub))
+        for b in built.pop():
+            name = f"agent{b.agent_id}_seed2.pgm"
+            b.pheromone_map().to_pgm(tmp_path / "want.pgm")
+            assert filecmp.cmp(tmp_path / sub / name, tmp_path / "want.pgm",
+                               shallow=False)
+            deposits = b._all_pheromones()
+            stamped = delta_map(deposits.positions, deposits.weights,
+                                b.pher_cfg.footprint_radius, b.grid_geom)
+            stamped.to_pgm(tmp_path / "stamped.pgm")
+            # Noise-free, the dump is the stamped map it always was.
+            assert filecmp.cmp(tmp_path / sub / name,
+                               tmp_path / "stamped.pgm",
+                               shallow=False) == (sub == "quiet")
+
+
 def test_sweep_env_grid(tmp_path):
     base = ExperimentSpec(config=small_cfg(), runs=1, max_steps=10,
                           out_dir=str(tmp_path))

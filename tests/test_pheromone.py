@@ -320,3 +320,204 @@ def test_waypoint_valid_mask_restricts_candidates():
                                  valid=valid)
     assert geom.index_of(wp) != (i, j)
     assert w == 1.0
+
+
+# -- exactness of the fast paths at real sizes --------------------------------
+
+
+def reference_delta_map(positions, weights, footprint_radius, geometry):
+    """The previous stamping loop: strongest disk last, np.clip indexing."""
+    n = geometry.n
+    grid = np.zeros((n, n))
+    half = int(math.ceil(footprint_radius / geometry.cell_size)) + 1
+    r2 = footprint_radius ** 2
+    for idx in np.argsort(weights):
+        px, py = positions[idx]
+        i0 = int(np.clip((px + geometry.radius) / geometry.cell_size, 0, n - 1))
+        j0 = int(np.clip((py + geometry.radius) / geometry.cell_size, 0, n - 1))
+        lo_i, hi_i = max(0, i0 - half), min(n, i0 + half + 1)
+        lo_j, hi_j = max(0, j0 - half), min(n, j0 + half + 1)
+        dx = geometry.coords[lo_i:hi_i] - px
+        dy = geometry.coords[lo_j:hi_j] - py
+        mask = dx[:, None] ** 2 + dy[None, :] ** 2 <= r2
+        sub = grid[lo_i:hi_i, lo_j:hi_j]
+        np.maximum(sub, np.where(mask, weights[idx], 0.0), out=sub)
+    return grid
+
+
+def awkward_positions(rng, geom, radius, k):
+    """Deposits on cell edges, at exactly +-radius from a cell center,
+    outside the grid, repeating an earlier deposit (a parked agent), at
+    signed zeros, and anywhere."""
+    edges = (np.arange(geom.n + 1) * geom.cell_size) - geom.radius
+    kinds = rng.integers(0, 6, size=k)
+    out = rng.uniform(-geom.radius - 6.0, geom.radius + 6.0, size=(k, 2))
+    for r, (row, kind) in enumerate(zip(out, kinds)):
+        if kind == 3 and r:
+            row[:] = out[rng.integers(r)]
+        elif kind == 4:
+            row[:] = rng.choice([0.0, -0.0], 2)
+        elif kind == 0:
+            row[:] = rng.choice(edges, 2)
+        elif kind == 1:
+            c = rng.choice(geom.coords, 2)
+            row[:] = c + rng.choice([-radius, radius]) * np.eye(2)[
+                rng.integers(2)]
+        elif kind == 2:
+            row[:] = rng.choice([-1.0, 1.0], 2) * rng.uniform(
+                geom.radius, geom.radius + 3 * radius, 2)
+    return out
+
+
+def test_delta_map_bit_identical_to_reference_at_real_sizes():
+    rng = np.random.default_rng(53)
+    geom = GridGeometry(12.0, 0.25)
+    radius = 4.0
+    levels = 35.0 * 0.84 ** np.arange(34)
+    for trial in range(60):
+        k = int(rng.integers(0, 251))
+        positions = awkward_positions(rng, geom, radius, k)
+        if trial % 2:
+            weights = rng.choice(levels, k)        # many equal weights
+        else:
+            weights = rng.uniform(0.1, 35.0, k)
+        got = delta_map(positions, weights, radius, geom).weights
+        want = reference_delta_map(positions, weights, radius, geom)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_delta_map_raises_on_nan_position_like_reference():
+    geom = GridGeometry(12.0, 0.25)
+    positions = np.array([[0.0, 0.0], [np.nan, 1.0]])
+    weights = np.array([1.0, 2.0])
+    with pytest.raises(ValueError) as want:
+        reference_delta_map(positions, weights, 4.0, geom)
+    with pytest.raises(ValueError) as got:
+        delta_map(positions, weights, 4.0, geom)
+    assert str(got.value) == str(want.value)
+
+
+def test_index_of_matches_np_clip():
+    geom = GridGeometry(12.0, 0.25)
+
+    def clipped(v):
+        return int(np.clip((v + geom.radius) / geom.cell_size, 0,
+                           geom.n - 1))
+
+    rng = np.random.default_rng(59)
+    specials = [0.0, -0.0, -12.0, 12.0, -12.0 - 1e-15, 12.0 - 1e-15,
+                math.inf, -math.inf, 1e300, -1e300, 5e-324, -5e-324]
+    edges = list(np.arange(geom.n + 1) * geom.cell_size - geom.radius)
+    values = specials + edges + list(rng.uniform(-20.0, 20.0, 5000)) \
+        + list(rng.standard_normal(500) * 1e6)
+    for v in values:
+        for x in (v, np.float64(v)):
+            assert geom.index_of((x, 0.0))[0] == clipped(v)
+            assert geom.index_of(np.array([0.0, x]))[1] == clipped(v)
+    with pytest.raises(ValueError) as want:
+        clipped(math.nan)
+    for point in ((math.nan, 0.0), np.array([0.0, math.nan])):
+        with pytest.raises(ValueError) as got:
+            geom.index_of(point)
+        assert str(got.value) == str(want.value)
+
+
+def test_geometry_caches_are_shared_and_read_only():
+    geom = GridGeometry(3.0, 0.5)
+    xs, ys = geom.centers()
+    assert geom.centers()[0] is xs
+    want_x, want_y = np.meshgrid(geom.coords, geom.coords, indexing="ij")
+    assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
+    for r in (3.0, 1.7, 99.0):
+        mask = geom.in_ball_mask(r)
+        assert geom.in_ball_mask(r) is mask
+        rr = min(r, geom.radius)
+        assert np.array_equal(mask, want_x ** 2 + want_y ** 2 <= rr ** 2)
+    assert geom.in_ball_mask() is geom.in_ball_mask(3.0)
+    with pytest.raises(ValueError):
+        xs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        geom.in_ball_mask()[0, 0] = False
+
+
+def reference_update(own, neighbors, rx, shift, sigma, cfg):
+    """The previous storage round on (positions, covs, weights) triples."""
+    shift = np.asarray(shift, dtype=float)
+
+    def decay(lst):
+        p, c, w = lst
+        if not len(w):
+            return lst
+        p, c, w = p + shift, c + sigma, w * (1.0 - cfg.w_decay)
+        keep = w > cfg.w_floor
+        return (p[keep], c[keep], w[keep]) if not keep.all() else (p, c, w)
+
+    p, c, w = decay(own)
+    own = (np.vstack([p, shift.reshape(1, 2)]),
+           np.concatenate([c, sigma.reshape(1, 2, 2)]),
+           np.append(w, cfg.w_init))
+    heard = set()
+    for sender, lst, offset in rx:
+        heard.add(sender)
+        neighbors[sender] = (lst[0] + np.reshape(offset, (1, 2)),
+                             lst[1].copy(), lst[2].copy())
+    for nid in neighbors:
+        if nid not in heard:
+            neighbors[nid] = decay(neighbors[nid])
+    return own
+
+
+def triple(plist):
+    return (plist.positions, plist.covs, plist.weights)
+
+
+def test_storage_round_bit_identical_to_reference():
+    rng = np.random.default_rng(61)
+    cfg = default_cfg()
+    for trial in range(4):
+        noisy = trial % 2 == 1
+        own, neighbors = PheromoneList(1), {}
+        ref_own, ref_neighbors = triple(own), {}
+        senders = {s: PheromoneList(s) for s in (2, 3, 4)}
+        for t in range(120):
+            shift = rng.normal(0.0, 0.3, 2)
+            m = rng.normal(0.0, 0.03, (2, 2))
+            sigma = m @ m.T if noisy else np.zeros((2, 2))
+            rx = []
+            if t % 3 == 0:
+                for s in rng.choice(list(senders), int(rng.integers(0, 4)),
+                                    replace=False):
+                    step_own(senders[s], cfg, shift=rng.normal(0, 0.3, 2),
+                             sigma=sigma)
+                    rx.append((int(s), senders[s], rng.normal(0, 4.0, 2)))
+            ref_rx = [(s, triple(pl), off) for s, pl, off in rx]
+            update_pheromones(own, neighbors, rx, shift, sigma, cfg)
+            ref_own = reference_update(ref_own, ref_neighbors, ref_rx,
+                                       shift, sigma, cfg)
+            for got, want in [(own, ref_own)] + [
+                    (neighbors[n], ref_neighbors[n]) for n in ref_neighbors]:
+                for g, w in zip(triple(got), want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+        assert len(own) == cfg.max_list_length() - 1 == 34
+
+
+def test_packets_and_received_lists_share_no_writes():
+    cfg = default_cfg()
+    sender = PheromoneList(2)
+    step_own(sender, cfg, n=5, shift=np.array([0.3, 0.0]))
+    snapshot = sender.copy()
+    assert snapshot.rows is sender.rows
+    before = sender.rows.copy()
+    a, b = {}, {}
+    update_pheromones(PheromoneList(1), a, [(2, snapshot, [1.0, 0.0])],
+                      ZERO2, ZERO22, cfg)
+    update_pheromones(PheromoneList(3), b, [(2, snapshot, [0.0, 2.0])],
+                      ZERO2, ZERO22, cfg)
+    # The sender moves on and the receivers decay their copies.
+    step_own(sender, cfg, n=2, shift=np.array([0.5, 0.5]))
+    update_pheromones(PheromoneList(1), a, [], [1.0, 1.0], ZERO22, cfg)
+    assert snapshot.rows.tobytes() == before.tobytes()
+    assert np.array_equal(b[2].positions, before[:, :2] + [0.0, 2.0])
+    assert np.array_equal(a[2].positions,
+                          (before[:, :2] + [1.0, 0.0]) + [1.0, 1.0])

@@ -76,9 +76,15 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     nl = neighbors[2]
     assert set(nl.records) == {3}
     assert np.allclose(nl.rel_pos.mean, rel.mean)   # first packet: adopted
-    # Mutating the ingested copy must not touch the sender's record.
-    nl.records[3].estimate.mean[0] = 99.0
+    # The ingested copy is a record and estimate of its own (its arrays are
+    # shared); changing it the way holders do, by rebinding, must not touch
+    # the sender's record.
+    copy = nl.records[3]
+    assert copy is not records[0] and copy.estimate is not records[0].estimate
+    copy.estimate.mean = copy.estimate.mean + 98.0
+    copy.last_update_step = 7
     assert records[0].estimate.mean[0] == 1.0
+    assert records[0].last_update_step == 0
 
     # Second packet: predicted rel_pos fused with the fresh measurement.
     rel2 = est([5.5, 0.0], 0.5)

@@ -222,6 +222,34 @@ def test_sense_targets_covariance_tracks_range():
     assert np.allclose(est.cov, (3.5 - 2.0) ** 2 * np.eye(2))
 
 
+def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
+    # sqrt(var) * z against the Cholesky factor of var * I times z.
+    rng = np.random.default_rng(67)
+    for _ in range(20000):
+        var = float(10.0 ** rng.uniform(-4.0, 2.0))
+        z = rng.standard_normal(2)
+        want = np.linalg.cholesky(var * np.eye(2)) @ z
+        assert (math.sqrt(var) * z).tobytes() == want.tobytes()
+    # Whole measurements: the analytic map against the same covariance fed
+    # through the general (Cholesky) path, drawing the same noise.
+    cfg = sim_2d_preset(n_agents=3, n_targets=5, domain=(8.0, 8.0))
+    cmap = cfg.cov_map()
+    general = lambda r, phi: max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
+    seen = 0
+    for seed in range(40):
+        cfg.seed = seed
+        fast, slow = make_state(cfg), make_state(cfg)
+        for agent in range(cfg.n_agents):
+            got = sense_targets(fast, agent, cfg)
+            want = sense_targets(slow, agent, cfg, general)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a.mean.tobytes() == b.mean.tobytes()
+                assert a.cov.tobytes() == b.cov.tobytes()
+            seen += len(got)
+    assert seen > 20
+
+
 def test_sense_displacement_exact_when_noiseless():
     cfg = cfg_quiet()
     state = make_state(cfg)
