@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pheromone as ph
-from .estimation import EYE2, GaussianEstimate
+from .estimation import GaussianEstimate, add2, add4, entropy, scaled_eye
 from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint, contains,
                       rot2, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
-                       entropy, select_target, update_storage)
+                       select_target, update_storage)
 
 
 @dataclass
@@ -135,7 +135,7 @@ class AgentBrain:
         return "exploit" if self.selected_target > 0 else "explore"
 
     def snapshot_packet(self) -> BroadcastPacket:
-        # Copies share their arrays: updates rebind them, never write them.
+        # Copies share their float tuples, which cannot change.
         return BroadcastPacket(
             sender=self.agent_id,
             pheromones=self.own_pheromones.copy(),
@@ -164,19 +164,24 @@ class AgentBrain:
                    for p in deposits.items()]
         return ph.build_map(regions, self.grid_geom)
 
-    def _clamp_rel(self, rel, own_pos):
-        """Clamp a relative point into the physical domain, when known.
+    def _clamper(self, own_pos):
+        """A function clamping a relative point (two floats) into the
+        physical domain, when known; it returns the point as it is otherwise.
 
         Target motion reflects at the walls but estimates drift freely, so an
         unclamped stale mean can sit outside the domain where no agent can
         ever reach or disprove it.
         """
         if self.domain is None or own_pos is None:
-            return np.asarray(rel, dtype=float)
+            return lambda rel: rel
         ox, oy = float(own_pos[0]), float(own_pos[1])
-        gx = min(max(ox + float(rel[0]), 0.0), self.domain[0])
-        gy = min(max(oy + float(rel[1]), 0.0), self.domain[1])
-        return np.array((gx - ox, gy - oy))
+        wx, wy = self.domain
+
+        def clamp(rel):
+            gx = min(max(ox + rel[0], 0.0), wx)
+            gy = min(max(oy + rel[1], 0.0), wy)
+            return (gx - ox, gy - oy)
+        return clamp
 
     def _in_domain(self, waypoint, own_pos):
         if self.domain is None or own_pos is None:
@@ -236,7 +241,8 @@ class AgentBrain:
         det_ids = {tid for tid, _ in detections}
         sector = SectorFov(max(self.fov.range_bl - 0.25, 1e-6),
                            max(self.fov.half_angle - 0.05, 1e-6), heading)
-        bump = self.miss_growth * EYE2
+        bump = scaled_eye(float(self.miss_growth))
+        clamp = self._clamper(own_pos)
         lifetime = self.pher_cfg.max_list_length()
         deposits = None   # gathered on first need
 
@@ -258,18 +264,17 @@ class AgentBrain:
 
         holdings = [(self.local_targets.records, None)]
         for nlist in self.neighbor_targets.values():
-            if nlist.rel_pos is not None:
-                holdings.append((nlist.records, nlist.rel_pos.mean))
+            if nlist.rel_mean is not None:
+                holdings.append((nlist.records, nlist.rel_mean))
         for records, offset in holdings:
             for tid, rec in records.items():
                 if tid in det_ids:
                     continue
-                mean = rec.estimate.mean if offset is None \
-                    else rec.estimate.mean + offset
-                mean = self._clamp_rel(mean, own_pos)
+                mean = clamp(rec.mean if offset is None
+                             else add2(rec.mean, offset))
                 if contains(sector, mean) or \
                         searched_since(mean, rec.last_update_step):
-                    rec.estimate.cov = rec.estimate.cov + bump
+                    rec.cov = add4(rec.cov, bump)
 
     # -- the per-step loop --------------------------------------------------
 
@@ -310,7 +315,7 @@ class AgentBrain:
         if self.search == "pheromone":
             pher_rx = [
                 (p.sender, p.pheromones,
-                 self.neighbor_targets[p.sender].rel_pos.mean)
+                 self.neighbor_targets[p.sender].rel_mean)
                 for p in rx_packets
             ]
             ph.update_pheromones(self.own_pheromones, self.neighbor_pheromones,
@@ -344,7 +349,7 @@ class AgentBrain:
             # Anchor the best-viewpoint offset to the line of sight, not the
             # current heading: the park point must not rotate as the agent
             # turns, or chasing it becomes a limit cycle.
-            goal = self._clamp_rel(est.mean, own_pos)
+            goal = np.asarray(self._clamper(own_pos)(est.mean.tolist()))
             d = math.hypot(goal[0], goal[1])
             r_star = math.hypot(*self._viewpoint_sensor)
             if d <= r_star:
@@ -367,8 +372,9 @@ class AgentBrain:
             waypoint = self._pheromone_waypoint(shift, own_pos)
             face = waypoint
 
-        waypoint_body = rot2(-heading) @ waypoint
-        face_body = rot2(-heading) @ face
+        to_body = rot2(-heading)
+        waypoint_body = to_body @ waypoint
+        face_body = to_body @ face
         control = pd_control(waypoint_body, self.prev_waypoint_body,
                              self.gains, self.u_max, face_body=face_body)
         self.prev_waypoint_body = face_body

@@ -16,6 +16,8 @@ import numpy as np
 
 from scipy.signal import fftconvolve
 
+from .estimation import flat_entropy
+
 
 class NoFeasibleAssignmentError(ValueError):
     """A bidder in the auction has no finite-value object to bid on."""
@@ -81,16 +83,15 @@ def levy_waypoint(carried, shift, q_star: float, cfg: LevyConfig, rng,
 def local_greedy_select(local, fov_contains) -> int:
     """Pick the in-FOV local target with the least uncertainty.
 
-    ``fov_contains`` is a predicate on estimate means (the agent's current
-    sector).  Returns 0 when nothing qualifies; ties go to the lower id.
+    ``fov_contains`` is a predicate on record means, tuples ``(x, y)`` (the
+    agent's current sector).  Returns 0 when nothing qualifies; ties go to
+    the lower id.
     """
-    from .estimation import entropy
-
     best = None
     for tid, rec in local.records.items():
-        if not fov_contains(rec.estimate.mean):
+        if not fov_contains(rec.mean):
             continue
-        key = (entropy(rec.estimate.cov), tid)
+        key = (flat_entropy(rec.cov), tid)
         if best is None or key < best:
             best = key
     return best[1] if best else 0

@@ -166,11 +166,24 @@ def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
     Returns the fused (means, covs); every row has the bits :func:`fuse`
     gives for that pair.
     """
-    ia = inv2(a_cov)
-    ib = inv2(b_cov)
+    return fuse_informed(a_mean, a_cov, *info_form(b_mean, b_cov))
+
+
+def info_form(mean, cov):
+    """Inverse covariances and information vectors (K, 2, 1) of a stack.
+
+    Row by row these do not depend on the rest of the stack, so the second
+    operands of many :func:`fuse_informed` calls can be formed in one go.
+    """
+    inv = inv2(cov)
+    return inv, np.matmul(inv, mean[..., None])
+
+
+def fuse_informed(a_mean, a_cov, ib, ib_b):
+    """:func:`fuse_stacked` with its second operand in :func:`info_form`."""
+    ia, ia_a = info_form(a_mean, a_cov)
     cov = inv2(ia + ib, check=False)
-    info = np.matmul(ia, a_mean[..., None]) + np.matmul(ib, b_mean[..., None])
-    return np.matmul(cov, info)[..., 0], cov
+    return np.matmul(cov, ia_a + ib_b)[..., 0], cov
 
 
 def propagate(e: GaussianEstimate, shift, growth) -> GaussianEstimate:
@@ -192,3 +205,41 @@ def entropy(cov) -> float:
     """Scalar uncertainty of a covariance: its determinant (bl^4)."""
     (c00, c01), (c10, c11) = np.asarray(cov, dtype=float).tolist()
     return c00 * c11 - c01 * c10
+
+
+# Estimates held in bulk (target records, neighbor positions) keep their
+# mean as a tuple ``(x, y)`` and their covariance as the tuple of its entries
+# ``(c00, c01, c10, c11)``, all Python floats.  The helpers below give the
+# bits numpy's elementwise ops give on the same arrays; sums keep every
+# entry, zeros too, because -0.0 + 0.0 is +0.0.
+
+
+def flat_entropy(c) -> float:
+    """:func:`entropy` of a covariance given by its entries."""
+    return c[0] * c[3] - c[1] * c[2]
+
+
+def add2(a, b):
+    """Entrywise sum of two means (or a mean and a shift)."""
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def add4(a, b):
+    """Entrywise sum of two flat covariances."""
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def scaled_eye(s):
+    """Flat ``s * EYE2``: its off-diagonal zeros are ``s * 0.0``."""
+    return (s * 1.0, s * 0.0, s * 0.0, s * 1.0)
+
+
+def to_flat(e: GaussianEstimate):
+    """(mean, cov) tuples of an estimate."""
+    (c00, c01), (c10, c11) = e.cov.tolist()
+    return tuple(e.mean.tolist()), (c00, c01, c10, c11)
+
+
+def from_flat(mean, cov) -> GaussianEstimate:
+    """An estimate with fresh arrays built from (mean, cov) tuples."""
+    return GaussianEstimate(np.array(mean), np.array(cov).reshape(2, 2))

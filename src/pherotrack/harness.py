@@ -22,7 +22,8 @@ from .baselines import (AuctionConfig, LevyConfig, VisitedMap,
                         antiflocking_waypoint, auction_assign, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
-from .tracking import TrackerConfig, combined_estimate, entropy
+from .estimation import add4, flat_entropy
+from .tracking import TrackerConfig, combined_estimate
 
 SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
 ASSIGN_ALGOS = ("greedy-distributed", "auction", "local-greedy")
@@ -179,11 +180,12 @@ def _auction_oracle(brains, cfg, prev=None):
             best = math.inf
             rec = b.local_targets.records.get(tid)
             if rec is not None:
-                best = entropy(rec.estimate.cov)
+                best = flat_entropy(rec.cov)
             for nl in b.neighbor_targets.values():
                 nrec = nl.records.get(tid)
-                if nrec is not None and nl.rel_pos is not None:
-                    best = min(best, entropy(nrec.estimate.cov + nl.rel_pos.cov))
+                if nrec is not None and nl.rel_cov is not None:
+                    best = min(best,
+                               flat_entropy(add4(nrec.cov, nl.rel_cov)))
             costs[bi, ki] = best
     keep = [ki for ki in range(len(known)) if np.isfinite(costs[:, ki]).any()]
     if not keep:
@@ -310,7 +312,7 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
         combined = combined_estimate(
             [(b.local_targets, b.neighbor_targets) for b in brains],
             target_ids)
-        estimates = {key: est.mean for key, est in combined.items()}
+        estimates = {key: est.mean.tolist() for key, est in combined.items()}
         rel = (state.target_pos[None, :, :]
                - state.agent_pos[:, None, :]).tolist()
         true_rel = {(i, tid): rel[i][tid - 1]

@@ -12,24 +12,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (EYE2, GaussianEstimate, entropy, fuse,
-                         fuse_stacked, propagate)
+from .estimation import (GaussianEstimate, add2, add4, flat_entropy,
+                         from_flat, fuse, fuse_informed, info_form,
+                         propagate, scaled_eye, to_flat)
 
 
-@dataclass
 class TargetRecord:
-    target_id: int
-    estimate: GaussianEstimate
-    last_update_step: int = 0
+    """One target's estimate as held by one agent.
 
-    def copy(self):
-        """A record and estimate of its own that share the mean and
-        covariance arrays: holders rebind those attributes, never write
-        into the arrays."""
-        est = self.estimate
-        return TargetRecord(self.target_id,
-                            GaussianEstimate(est.mean, est.cov),
-                            self.last_update_step)
+    ``mean`` and ``cov`` are tuples of Python floats (see
+    :func:`~pherotrack.estimation.to_flat`).  Tuples cannot be written in
+    place, so a copy, a broadcast packet and every holder share them; an
+    update rebinds the attribute.
+    """
+
+    __slots__ = ("target_id", "mean", "cov", "last_update_step")
+
+    def __init__(self, target_id: int, estimate: GaussianEstimate,
+                 last_update_step: int = 0):
+        self.target_id = target_id
+        self.mean, self.cov = to_flat(estimate)
+        self.last_update_step = last_update_step
+
+    @property
+    def estimate(self) -> GaussianEstimate:
+        """The estimate as arrays of its own (a read-only view: writing
+        into it leaves the record as it was)."""
+        return from_flat(self.mean, self.cov)
+
+    def copy(self) -> "TargetRecord":
+        new = object.__new__(TargetRecord)
+        new.target_id = self.target_id
+        new.mean = self.mean
+        new.cov = self.cov
+        new.last_update_step = self.last_update_step
+        return new
+
+    def __repr__(self):
+        return (f"TargetRecord({self.target_id}, mean={self.mean}, "
+                f"cov={self.cov}, last_update_step={self.last_update_step})")
 
 
 @dataclass
@@ -39,19 +60,33 @@ class LocalTargetList:
     records: dict = field(default_factory=dict)
 
 
-@dataclass
 class NeighborTargetList:
     """A neighbor's broadcast target list plus where that neighbor is.
 
-    Record estimates stay in the neighbor's frame; ``rel_pos`` is the fused
-    relative position of the neighbor in the local frame and is what lifts
-    those estimates into the local frame on demand.
+    Record estimates stay in the neighbor's frame; ``rel_mean`` and
+    ``rel_cov`` (flat tuples, None until the first packet) are the fused
+    relative position of the neighbor in the local frame, which lifts those
+    estimates into the local frame on demand.
     """
 
-    neighbor_id: int
-    records: dict = field(default_factory=dict)
-    rel_pos: GaussianEstimate | None = None
-    last_rx_step: int = -1
+    __slots__ = ("neighbor_id", "records", "rel_mean", "rel_cov",
+                 "last_rx_step")
+
+    def __init__(self, neighbor_id: int, records: dict | None = None,
+                 rel_pos: GaussianEstimate | None = None,
+                 last_rx_step: int = -1):
+        self.neighbor_id = neighbor_id
+        self.records = {} if records is None else records
+        self.rel_mean, self.rel_cov = (None, None) if rel_pos is None \
+            else to_flat(rel_pos)
+        self.last_rx_step = last_rx_step
+
+    @property
+    def rel_pos(self) -> GaussianEstimate | None:
+        """The relative position as an estimate of its own, or None."""
+        if self.rel_mean is None:
+            return None
+        return from_flat(self.rel_mean, self.rel_cov)
 
 
 @dataclass
@@ -62,6 +97,7 @@ class TrackerConfig:
 
     def __post_init__(self):
         self.q_bar = np.asarray(self.q_bar, dtype=float).reshape(2, 2)
+        self.q_flat = tuple(self.q_bar.ravel().tolist())
 
 
 def update_storage(local: LocalTargetList, neighbors: dict, detections,
@@ -76,24 +112,30 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     this step, where ``sensed_rel_pos`` is the receiver-side measurement of
     the sender attached by the channel.
 
-    Mutates ``local`` and ``neighbors`` in place.
+    Prediction and growth work on the records' float tuples; an estimate
+    about to be fused goes through :func:`propagate` and :func:`fuse` on
+    arrays, which give the same bits.  Mutates ``local`` and ``neighbors``
+    in place.
     """
     shift = np.asarray(shift, dtype=float).reshape(2)
-    sigma_shift = np.asarray(sigma_shift, dtype=float).reshape(2, 2)
+    d = tuple(shift.tolist())
+    q = cfg.q_flat
     det_by_id = dict(detections)
 
     # Local list: predict with (shift, q_bar), fuse any matching detection.
     for tid, rec in local.records.items():
-        predicted = propagate(rec.estimate, shift, cfg.q_bar)
-        if tid in det_by_id:
-            rec.estimate = fuse(predicted, det_by_id.pop(tid))
-            rec.last_update_step = step
+        meas = det_by_id.pop(tid, None)
+        if meas is None:
+            rec.mean = add2(rec.mean, d)
+            rec.cov = add4(rec.cov, q)
         else:
-            rec.estimate = predicted
+            rec.mean, rec.cov = to_flat(fuse(
+                propagate(rec.estimate, shift, cfg.q_bar), meas))
+            rec.last_update_step = step
 
     # Brand-new detections enter with their instantaneous sensor covariance.
     for tid, est in det_by_id.items():
-        local.records[tid] = TargetRecord(tid, est.copy(), step)
+        local.records[tid] = TargetRecord(tid, est, step)
 
     _prune(local.records, cfg.sigma_bar)
 
@@ -101,7 +143,8 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     # position loses information every step regardless of what we hear;
     # without this growth repeated fusion turns p-hat overconfident and the
     # stale mean poisons every lifted estimate.
-    rel_growth = sigma_shift + cfg.motion_var * EYE2
+    g = add4(np.asarray(sigma_shift, dtype=float).ravel().tolist(),
+             scaled_eye(cfg.motion_var))
 
     heard_from = set()
     for sender, records, rel_meas in rx_packets:
@@ -110,27 +153,30 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
         if nlist is None:
             nlist = neighbors[sender] = NeighborTargetList(sender)
         nlist.records = {r.target_id: r.copy() for r in records}
-        if nlist.rel_pos is None:
-            nlist.rel_pos = rel_meas.copy()
+        if nlist.rel_mean is None:
+            nlist.rel_mean, nlist.rel_cov = to_flat(rel_meas)
         else:
-            predicted = propagate(nlist.rel_pos, shift, rel_growth)
-            nlist.rel_pos = fuse(predicted, rel_meas)
+            predicted = propagate(nlist.rel_pos, shift,
+                                  np.array(g).reshape(2, 2))
+            nlist.rel_mean, nlist.rel_cov = to_flat(fuse(predicted, rel_meas))
         nlist.last_rx_step = step
 
     # Silent neighbors: dead-reckon their position, grow every uncertainty.
     for nid, nlist in neighbors.items():
-        if nid in heard_from or nlist.rel_pos is None:
+        if nid in heard_from or nlist.rel_mean is None:
             continue
-        nlist.rel_pos = propagate(nlist.rel_pos, shift, rel_growth)
+        nlist.rel_mean = add2(nlist.rel_mean, d)
+        nlist.rel_cov = add4(nlist.rel_cov, g)
         for rec in nlist.records.values():
-            rec.estimate.cov = rec.estimate.cov + cfg.q_bar
+            rec.cov = add4(rec.cov, q)
 
     for nlist in neighbors.values():
         _prune(nlist.records, cfg.sigma_bar)
 
 
 def _prune(records: dict, sigma_bar: float):
-    stale = [tid for tid, r in records.items() if entropy(r.estimate.cov) > sigma_bar]
+    stale = [tid for tid, r in records.items()
+             if flat_entropy(r.cov) > sigma_bar]
     for tid in stale:
         del records[tid]
 
@@ -164,33 +210,27 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
     for nid in sorted(neighbors):
         nlist = neighbors[nid]
         if nlist.records:
-            holdings.append((nid, nlist.records, nlist.rel_pos))
+            holdings.append((nid, nlist.records, nlist.rel_cov))
     holdings.sort(key=lambda h: h[0])
 
-    if all(not recs for _, recs, _ in holdings):
+    # Per holding its dets; per target the sharpest (det, agent id), ties
+    # kept by the lower id because holdings ascend.
+    table, sharpest = [], {}
+    for aid, recs, rel_cov in holdings:
+        dets = {}
+        for tid, rec in recs.items():
+            d = dets[tid] = flat_entropy(rec.cov)
+            best = sharpest.get(tid)
+            if best is None or d < best[0]:
+                sharpest[tid] = (d, aid)
+        table.append((aid, dets, recs, rel_cov))
+    if not sharpest:
         return 0
 
-    dets = {
-        (aid, tid): entropy(rec.estimate.cov)
-        for aid, recs, _ in holdings
-        for tid, rec in recs.items()
-    }
-
     claimed = {}
-    for aid, recs, _ in holdings:
-        for tid in sorted(recs, key=lambda t: (dets[(aid, t)], t)):
-            if tid in claimed:
-                continue
-            mine = dets[(aid, tid)]
-            wins = True
-            for other, o_recs, _ in holdings:
-                if other == aid or tid not in o_recs:
-                    continue
-                theirs = dets[(other, tid)]
-                if theirs < mine or (theirs == mine and other < aid):
-                    wins = False
-                    break
-            if wins:
+    for aid, dets, _, _ in table:
+        for tid in sorted(dets, key=lambda t: (dets[t], t)):
+            if tid not in claimed and sharpest[tid][1] == aid:
                 claimed[tid] = aid
                 break
 
@@ -200,15 +240,13 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
 
     # Phase 2: cheapest unclaimed target reachable through any holding.
     best = None
-    for aid, recs, rel_pos in holdings:
-        for tid, rec in recs.items():
+    for aid, dets, recs, rel_cov in table:
+        for tid, h in dets.items():
             if tid in claimed:
                 continue
-            if aid == self_id:
-                h = dets[(aid, tid)]
-            else:
-                h = entropy(rec.estimate.cov + rel_pos.cov)
-            if best is None or (h, tid) < best[:2]:
+            if aid != self_id:
+                h = flat_entropy(add4(recs[tid].cov, rel_cov))
+            if best is None or (h, tid) < best:
                 best = (h, tid)
     return best[1] if best else 0
 
@@ -225,11 +263,12 @@ def combined_estimate(holdings, target_ids) -> dict:
     ``holdings`` is a sequence of ``(local, neighbors)`` per agent: its
     :class:`LocalTargetList` and its dict of :class:`NeighborTargetList`.
     A pair's sources are the local record (if any), then each neighbor
-    record whose neighbor has a ``rel_pos``, in ascending neighbor id,
-    lifted through :func:`transform_neighbor_estimate`.  Each chain is
-    fused left to right, exactly as a loop of :func:`fuse` over its sources;
-    with enough pairs, all chains advance together one position at a time
-    through :func:`fuse_stacked`, which gives the same bits.
+    record whose neighbor has a relative position, in ascending neighbor
+    id, lifted as :func:`transform_neighbor_estimate` does.  Only the
+    requested targets are gathered.  Each chain is fused left to right,
+    exactly as a loop of :func:`fuse` over its sources; with enough pairs,
+    all chains advance together one position at a time through
+    :func:`~pherotrack.estimation.fuse_informed`, which gives the same bits.
 
     Returns ``{(index into holdings, target id): GaussianEstimate}``; pairs
     with no source are absent.
@@ -239,22 +278,17 @@ def combined_estimate(holdings, target_ids) -> dict:
     """
     chains = {}
     for a, (local, neighbors) in enumerate(holdings):
-        by_target = {tid: [(rec.estimate, None)]
-                     for tid, rec in local.records.items()}
-        for nid in sorted(neighbors):
-            nlist = neighbors[nid]
-            rel_pos = nlist.rel_pos
-            if rel_pos is None:
-                continue
-            for tid, rec in nlist.records.items():
-                chain = by_target.get(tid)
-                if chain is None:
-                    by_target[tid] = [(rec.estimate, rel_pos)]
-                else:
-                    chain.append((rec.estimate, rel_pos))
+        placed = [neighbors[nid] for nid in sorted(neighbors)
+                  if neighbors[nid].rel_mean is not None]
         for tid in target_ids:
-            chain = by_target.get(tid)
-            if chain is not None:
+            rec = local.records.get(tid)
+            chain = [] if rec is None else [(rec.mean, rec.cov)]
+            for nlist in placed:
+                rec = nlist.records.get(tid)
+                if rec is not None:
+                    chain.append((add2(rec.mean, nlist.rel_mean),
+                                  add4(rec.cov, nlist.rel_cov)))
+            if chain:
                 chains[(a, tid)] = chain
     if len(chains) < _STACK_MIN_PAIRS:
         return {key: _fuse_chain(chain) for key, chain in chains.items()}
@@ -262,12 +296,11 @@ def combined_estimate(holdings, target_ids) -> dict:
 
 
 def _fuse_chain(chain):
-    sources = [est if rel_pos is None
-               else transform_neighbor_estimate(est, rel_pos)
-               for est, rel_pos in chain]
-    out = sources[0].copy()
-    for s in sources[1:]:
-        out = fuse(out, s)
+    means = np.array([mean for mean, _ in chain])
+    covs = np.array([cov for _, cov in chain]).reshape(-1, 2, 2)
+    out = GaussianEstimate(means[0], covs[0])
+    for j in range(1, len(chain)):
+        out = fuse(out, GaussianEstimate(means[j], covs[j]))
     return out
 
 
@@ -277,34 +310,29 @@ def _fuse_chains_stacked(chains):
     # one contiguous block.
     keys = sorted(chains, key=lambda k: -len(chains[k]))
     means, covs, blocks = [], [], []
-    lift_rows, lift_means, lift_covs = [], [], []
     n_active = len(keys)
     for j in range(len(chains[keys[0]])):
         while len(chains[keys[n_active - 1]]) <= j:
             n_active -= 1
         blocks.append(n_active)
         for key in keys[:n_active]:
-            est, rel_pos = chains[key][j]
-            if rel_pos is not None:
-                lift_rows.append(len(means))
-                lift_means.append(rel_pos.mean)
-                lift_covs.append(rel_pos.cov)
-            means.append(est.mean)
-            covs.append(est.cov)
+            mean, cov = chains[key][j]
+            means.append(mean)
+            covs.append(cov)
+    src_mean = np.array(means)
+    src_cov = np.array(covs).reshape(-1, 2, 2)
 
-    src_mean, src_cov = np.array(means), np.array(covs)
-    if lift_rows:
-        src_mean[lift_rows] += np.array(lift_means)
-        src_cov[lift_rows] += np.array(lift_covs)
-
-    # The running estimates overwrite the first block in place.
+    # The running estimates overwrite the first block in place; every later
+    # block is a second operand, put in information form all at once.
     mean, cov = src_mean[:len(keys)], src_cov[:len(keys)]
-    start = len(keys)
-    for n in blocks[1:]:
-        mean[:n], cov[:n] = fuse_stacked(mean[:n], cov[:n],
-                                         src_mean[start:start + n],
-                                         src_cov[start:start + n])
-        start += n
+    if len(blocks) > 1:
+        ib, ib_b = info_form(src_mean[len(keys):], src_cov[len(keys):])
+        start = 0
+        for n in blocks[1:]:
+            stop = start + n
+            mean[:n], cov[:n] = fuse_informed(mean[:n], cov[:n],
+                                              ib[start:stop], ib_b[start:stop])
+            start = stop
     return {key: GaussianEstimate(mean[r], cov[r])
             for r, key in enumerate(keys)}
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .estimation import EYE2, GaussianEstimate
+from .estimation import EPS_INV, EYE2, GaussianEstimate
 from .sensing import AnalyticCovMap, wrap_angle
 
 
@@ -81,6 +81,21 @@ class WorldConfig:
             raise AssumptionError("pheromone cell size must be positive")
         if self.r_s <= 0:
             raise AssumptionError("sensing radius must be positive")
+        # The sector test's own rule, checked before any sector is built.
+        if not 0 < 2 * self.half_angle <= 2 * math.pi:
+            raise AssumptionError("sector angle phi_c_deg must be in (0, 360]")
+        # The channel draws neighbor noise with variance max(k_p d, floor)
+        # and every estimate gets inverted in fusion: a negative gain can
+        # make the variance negative, and a floor at or below the inversion
+        # limit lets a detection at the camera optimum be singular.
+        if not self.k_p >= 0:
+            raise AssumptionError("neighbor sensing gain k_p must not be "
+                                  "negative")
+        if not self.eta_floor > EPS_INV:
+            raise AssumptionError(
+                f"sensor noise floor eta_floor must exceed {EPS_INV}")
+        if not self.u_max[1] > 0:
+            raise AssumptionError("turn-rate limit u_max[1] must be positive")
         if self.sigma_bar <= 0:
             raise AssumptionError("target deletion threshold must be positive")
         # Symmetric 2x2 PSD: nonnegative diagonal and determinant.
@@ -170,6 +185,10 @@ class WorldState:
     target_rngs: list = field(default_factory=list)
     sense_rngs: list = field(default_factory=list)
     channel_rngs: list = field(default_factory=list)
+    # Per-run noise factors: Cholesky factors of the target process noise
+    # and of the displacement noise (None when there is none).
+    q_chol: np.ndarray | None = None
+    dp_chol: np.ndarray | None = None
 
 
 def _stream(seed, *key):
@@ -195,6 +214,9 @@ def make_state(cfg: WorldConfig) -> WorldState:
         target_rngs=[_stream(cfg.seed, 1, k) for k in range(cfg.n_targets)],
         sense_rngs=[_stream(cfg.seed, 2, i) for i in range(cfg.n_agents)],
         channel_rngs=[_stream(cfg.seed, 3, i) for i in range(cfg.n_agents)],
+        q_chol=np.linalg.cholesky(cfg.q_k + EYE2 * 1e-15),
+        dp_chol=None if np.abs(cfg.r_dp).max() <= 0
+        else np.linalg.cholesky(cfg.r_dp + EYE2 * 1e-15),
     )
 
 
@@ -227,7 +249,7 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
     np.clip(state.agent_pos[:, 0], 0.0, w, out=state.agent_pos[:, 0])
     np.clip(state.agent_pos[:, 1], 0.0, h, out=state.agent_pos[:, 1])
 
-    chol = np.linalg.cholesky(cfg.q_k + EYE2 * 1e-15)
+    chol = state.q_chol
     for k in range(len(state.target_pos)):
         noise = cfg.noise_scale * (chol @ state.target_rngs[k].standard_normal(2))
         x = state.target_pos[k, 0] + noise[0]
@@ -260,13 +282,12 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
     cmap = cfg.cov_map() if cov_at is None else None
     out = []
     rng = state.sense_rngs[agent]
-    for k in range(len(state.target_pos)):
-        rel = state.target_pos[k] - state.agent_pos[agent]
-        r = math.hypot(rel[0], rel[1])
+    rels = state.target_pos - state.agent_pos[agent]
+    for k, (x, y) in enumerate(rels.tolist()):
+        r = math.hypot(x, y)
         if r > cfg.r_s:
             continue
-        bearing = wrap_angle(math.atan2(rel[1], rel[0])
-                             - state.agent_heading[agent])
+        bearing = wrap_angle(math.atan2(y, x) - state.agent_heading[agent])
         if abs(bearing) > cfg.half_angle:
             continue
         if cmap is None:
@@ -279,7 +300,7 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
             cov = var * EYE2
             noise = math.sqrt(var) * rng.standard_normal(2)
         noise = cfg.noise_scale * noise
-        out.append((k + 1, GaussianEstimate(rel + noise, cov)))
+        out.append((k + 1, GaussianEstimate(rels[k] + noise, cov)))
     return out
 
 
@@ -287,9 +308,9 @@ def sense_displacement(state: WorldState, agent: int, prev_pos,
                        cfg: WorldConfig):
     """Noisy measurement of the agent's own last displacement."""
     true_dp = state.agent_pos[agent] - np.asarray(prev_pos, dtype=float)
-    if np.abs(cfg.r_dp).max() <= 0:
+    if state.dp_chol is None:
         return true_dp.copy(), cfg.r_dp.copy()
-    noise = cfg.noise_scale * (np.linalg.cholesky(cfg.r_dp + EYE2 * 1e-15)
+    noise = cfg.noise_scale * (state.dp_chol
                                @ state.sense_rngs[agent].standard_normal(2))
     return true_dp + noise, cfg.r_dp.copy()
 
@@ -310,11 +331,12 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
         return rx
     for i in range(cfg.n_agents):
         rng = state.channel_rngs[i]
+        rels = state.agent_pos - state.agent_pos[i]
+        rel_xy = rels.tolist()
         for j, packet in packets.items():
             if j == i:
                 continue
-            rel = state.agent_pos[j] - state.agent_pos[i]
-            dist = math.hypot(rel[0], rel[1])
+            dist = math.hypot(*rel_xy[j])
             if dist > cfg.r_c:
                 continue
             var = max(cfg.k_p * dist, cfg.eta_floor)
@@ -323,7 +345,7 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
                 sender=packet.sender,
                 pheromones=packet.pheromones,
                 targets=packet.targets,
-                rel_pos=GaussianEstimate(rel + noise, var * EYE2),
+                rel_pos=GaussianEstimate(rels[j] + noise, var * EYE2),
             )
             rx[i].append(delivered)
     return rx

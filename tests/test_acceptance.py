@@ -109,11 +109,15 @@ def test_criterion_4_levy_competitive_in_small_environment():
     tp, tl = completed_times(pher), completed_times(levy)
     ratio = np.mean(tl) / np.mean(tp)
     med_ratio = np.median(tl) / np.median(tp)
-    # Honest miss: on a 10x10 floor the two searches are nearly equivalent
-    # seed by seed (median ratio ~1), but a handful of levy seeds draw long
-    # wall-clamped legs that pin an explorer while the last target hides in
-    # the opposite corner, and those tails push the mean ratio above the
-    # 1.2 threshold.
+    # Honest miss, and not a tail effect: a per-seed probe of these 60 seeds
+    # (RunMetrics.first_detection) gives a mean ratio of 1.45 with a median
+    # ratio of only 1.08, and dropping each side's 3 slowest seeds raises
+    # the ratio to 1.49.  The gap is the whole upper half: the 75th
+    # percentile is 53.5 steps for levy against 31 for pheromone (upper-half
+    # means 58.7 against 38.3, lower-half means 10.5 against 9.4).  Most of
+    # it is search time: the last target is first detected at step 27.2 on
+    # average for levy against 18.6 for pheromone, and tracking all of them
+    # after that takes 7.4 steps against 5.2.
     check(4, ratio < 1.2,
           f"levy mean {np.mean(tl):.1f} ({len(tl)}/60) / pheromone mean "
           f"{np.mean(tp):.1f} ({len(tp)}/60) = {ratio:.2f} (need < 1.2; "

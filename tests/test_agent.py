@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 
+from pherotrack import pheromone as ph
 from pherotrack.agent import AgentBrain, ControlInput, PdGains, pd_control
 from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
-from pherotrack.sensing import AnalyticCovMap, SectorFov
+from pherotrack.sensing import AnalyticCovMap, SectorFov, contains
 from pherotrack.tracking import TargetRecord, TrackerConfig, update_storage
 
 U_MAX = (0.4, math.radians(15.0))
@@ -224,16 +225,15 @@ def test_clamp_is_bit_identical_to_np_clip():
                     math.copysign(1.0, w), (wp, prev, gains)
 
 
-def test_broadcast_records_share_arrays_but_never_mutations():
+def test_broadcast_records_share_floats_but_never_mutations():
     sender = make_brain(agent_id=2)
     rec = TargetRecord(1, GaussianEstimate([1.0, 0.0], 0.04 * np.eye(2)))
     sender.local_targets.records[1] = rec
     packet = sender.snapshot_packet()
     sent = packet.targets[0]
-    # One record and estimate per holder; the arrays are not copied.
-    assert sent is not rec and sent.estimate is not rec.estimate
-    assert sent.estimate.mean is rec.estimate.mean
-    assert sent.estimate.cov is rec.estimate.cov
+    # One record per holder; the float tuples are shared, not copied.
+    assert sent is not rec
+    assert sent.mean is rec.mean and sent.cov is rec.cov
 
     rel = GaussianEstimate([1.0, 0.0], 0.01 * np.eye(2))
     a, b = make_brain(agent_id=1, miss_growth=1.0), make_brain(agent_id=3)
@@ -243,16 +243,106 @@ def test_broadcast_records_share_arrays_but_never_mutations():
                        np.zeros((2, 2)), r.tracker_cfg)
     held_a = a.neighbor_targets[2].records[1]
     held_b = b.neighbor_targets[2].records[1]
-    assert held_a is not held_b and held_a.estimate is not held_b.estimate
-    assert held_a.estimate.cov is rec.estimate.cov
+    assert held_a is not held_b and held_a.cov is rec.cov
 
     # Agent a looks at the lifted mean (2, 0) and misses it: bump.  Then it
     # hears nothing for a step: silent growth.
     a._apply_negative_info([], 0.0, np.array([15.0, 15.0]))
-    assert held_a.estimate.cov[0, 0] == 0.04 + 1.0
+    assert held_a.cov[0] == 0.04 + 1.0
     update_storage(a.local_targets, a.neighbor_targets, [], [], np.zeros(2),
                    np.zeros((2, 2)), a.tracker_cfg, step=1)
-    assert held_a.estimate.cov[0, 0] == 0.04 + 1.0 + 0.01
+    assert held_a.cov[0] == 0.04 + 1.0 + 0.01
     for r in (rec, sent, held_b):
-        assert np.array_equal(r.estimate.cov, 0.04 * np.eye(2))
-        assert np.array_equal(r.estimate.mean, [1.0, 0.0])
+        assert r.cov == (0.04, 0.0, 0.0, 0.04)
+        assert r.mean == (1.0, 0.0)
+
+
+def _reference_negative_info(brain, local, neighbors, detections, heading,
+                             own_pos):
+    """Negative information as it was on array records (``.estimate``)."""
+    if brain.miss_growth <= 0:
+        return
+    det_ids = {tid for tid, _ in detections}
+    sector = SectorFov(max(brain.fov.range_bl - 0.25, 1e-6),
+                       max(brain.fov.half_angle - 0.05, 1e-6), heading)
+    bump = brain.miss_growth * np.eye(2)
+    lifetime = brain.pher_cfg.max_list_length()
+
+    def clamp_rel(rel):
+        if brain.domain is None or own_pos is None:
+            return np.asarray(rel, dtype=float)
+        ox, oy = float(own_pos[0]), float(own_pos[1])
+        gx = min(max(ox + float(rel[0]), 0.0), brain.domain[0])
+        gy = min(max(oy + float(rel[1]), 0.0), brain.domain[1])
+        return np.array((gx - ox, gy - oy))
+
+    def searched_since(mean, last_update):
+        if brain.search != "pheromone" \
+                or brain.step_count - last_update <= lifetime:
+            return False
+        if math.hypot(mean[0], mean[1]) > brain.r_c:
+            return False
+        deposits = brain._all_pheromones()
+        if not len(deposits) or not deposits.delta_only():
+            return False
+        value = ph.pheromone_value_at(
+            mean, deposits.positions, deposits.weights,
+            brain.pher_cfg.footprint_radius, brain.grid_geom)
+        return value > brain.pher_cfg.w_floor
+
+    holdings = [(local, None)]
+    for nlist in neighbors.values():
+        if nlist.rel_pos is not None:
+            holdings.append((nlist.records, nlist.rel_pos.mean))
+    for records, offset in holdings:
+        for tid, rec in records.items():
+            if tid in det_ids:
+                continue
+            mean = rec.estimate.mean if offset is None \
+                else rec.estimate.mean + offset
+            mean = clamp_rel(mean)
+            if contains(sector, mean) or \
+                    searched_since(mean, rec.last_update_step):
+                rec.estimate.cov = rec.estimate.cov + bump
+
+
+def test_negative_info_bit_identical_to_array_records():
+    from test_tracking import _assert_same_holding, _materialize, \
+        _spec_holding
+
+    rng = np.random.default_rng(83)
+    bumped = searched = 0
+    for trial in range(300):
+        pool = []
+        domain = None if trial % 5 == 0 else (30.0, 30.0)
+        brain = make_brain(search="pheromone" if trial % 4 else "levy",
+                           miss_growth=float(rng.choice([1.0, 0.3])),
+                           domain=domain)
+        brain.step_count = int(rng.integers(0, 120))
+        # Deposits near the agent, so stale records can be "searched since".
+        rows = np.zeros((int(rng.integers(0, 30)), 7))
+        rows[:, :2] = rng.uniform(-8.0, 8.0, (len(rows), 2))
+        rows[:, 6] = rng.uniform(0.05, 35.0, len(rows))
+        brain.own_pheromones = ph.PheromoneList(1, rows)
+        spec = _spec_holding(rng, 1, 5, [1, 2, 3, 4], pool,
+                             brain.step_count)
+        new, ref = _materialize(spec, True), _materialize(spec, False)
+        brain.local_targets, brain.neighbor_targets = new
+        heading = float(rng.uniform(-math.pi, math.pi))
+        # Near a wall or corner now and then, so clamping moves means.
+        own_pos = rng.choice([rng.uniform(0.0, 30.0, 2),
+                              rng.uniform(0.0, 1.5, 2),
+                              np.array([29.0, 15.0])])
+        dets = [(t, None) for t in (1, 2, 3, 4) if rng.random() < 0.2]
+        before = [r.cov for r in new[0].records.values()]
+        brain._apply_negative_info(dets, heading, own_pos)
+        _reference_negative_info(brain, ref[0].records, ref[1], dets,
+                                 heading, own_pos)
+        _assert_same_holding(new, ref)
+        bumped += sum(r.cov is not c for r, c in
+                      zip(new[0].records.values(), before))
+        stale = [r for r in new[0].records.values()
+                 if brain.step_count - r.last_update_step
+                 > brain.pher_cfg.max_list_length()]
+        searched += bool(stale) and brain.search == "pheromone"
+    assert bumped > 50 and searched > 5

@@ -102,13 +102,13 @@ def test_levy_walker_is_isolated_from_pheromone_state():
 # -- local greedy ------------------------------------------------------------
 
 
-def rec(tid, var):
-    return TargetRecord(tid, GaussianEstimate([1.0, 0.0], var * np.eye(2)))
+def rec(tid, var, mean=(1.0, 0.0)):
+    return TargetRecord(tid, GaussianEstimate(mean, var * np.eye(2)))
 
 
 def test_local_greedy_picks_least_uncertain_in_fov():
-    local = LocalTargetList({1: rec(1, 0.5), 2: rec(2, 0.1), 3: rec(3, 0.05)})
-    local.records[3].estimate.mean = np.array([-1.0, 0.0])  # behind
+    local = LocalTargetList({1: rec(1, 0.5), 2: rec(2, 0.1),
+                             3: rec(3, 0.05, mean=(-1.0, 0.0))})  # behind
     k = local_greedy_select(local, lambda m: m[0] > 0)
     assert k == 2
     assert local_greedy_select(local, lambda m: False) == 0

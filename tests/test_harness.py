@@ -201,6 +201,27 @@ def test_every_search_and_assign_combination_runs():
             assert len(m.h_series) >= 1
 
 
+@pytest.mark.parametrize("n_agents,n_targets", [(2, 4), (1, 3)])
+def test_auction_with_more_targets_than_agents(tmp_path, n_agents, n_targets):
+    # The auction then bids agents for targets; no run can ever track every
+    # target at once, so each is censored, and no step tracks more targets
+    # than there are agents.
+    spec = ExperimentSpec(small_cfg(n_agents=n_agents, n_targets=n_targets),
+                          search="pheromone", assign="auction", runs=2,
+                          max_steps=150, out_dir=str(tmp_path))
+    summary, results = run_monte_carlo(spec)
+    assert summary["censored"] == 2 and summary["completed"] == 0
+    for m in results:
+        assert m.time_to_track is None
+        assert len(m.n_tracked_series) == 150
+        assert all(0 <= n <= n_agents for n in m.n_tracked_series)
+    # Some agent did track, and some run knew more targets than agents.
+    assert max(max(m.n_tracked_series) for m in results) >= 1
+    assert max(len(m.first_detection) for m in results) > n_agents
+    rows = read_runs_csv(tmp_path / "runs.csv")
+    assert [r["censored"] for r in rows] == [True, True]
+
+
 def test_hardware_table_preset_runs():
     m = simulate_run(hardware_table_preset(), "pheromone",
                      "greedy-distributed", max_steps=30, seed=0)

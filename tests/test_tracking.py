@@ -1,10 +1,13 @@
 """Tests for target storage, selection, and combined estimation."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from pherotrack.estimation import (GaussianEstimate, SingularCovarianceError,
-                                   entropy, fuse, propagate)
+from pherotrack.estimation import (EYE2, GaussianEstimate,
+                                   SingularCovarianceError, entropy, fuse,
+                                   fuse_stacked, propagate)
 from pherotrack.tracking import (LocalTargetList, NeighborTargetList,
                                  TargetRecord, TrackerConfig,
                                  combined_estimate, exploitation_waypoint,
@@ -76,14 +79,17 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     nl = neighbors[2]
     assert set(nl.records) == {3}
     assert np.allclose(nl.rel_pos.mean, rel.mean)   # first packet: adopted
-    # The ingested copy is a record and estimate of its own (its arrays are
-    # shared); changing it the way holders do, by rebinding, must not touch
-    # the sender's record.
+    # The ingested copy is a record of its own that shares the sender's
+    # float tuples; changing it the way holders do, by rebinding, must not
+    # touch the sender's record.
     copy = nl.records[3]
-    assert copy is not records[0] and copy.estimate is not records[0].estimate
-    copy.estimate.mean = copy.estimate.mean + 98.0
+    assert copy is not records[0]
+    assert copy.mean is records[0].mean and copy.cov is records[0].cov
+    copy.mean = (copy.mean[0] + 98.0, copy.mean[1])
+    copy.cov = tuple(c + 1.0 for c in copy.cov)
     copy.last_update_step = 7
-    assert records[0].estimate.mean[0] == 1.0
+    assert records[0].mean == (1.0, 1.0)
+    assert records[0].cov == (0.2, 0.0, 0.0, 0.2)
     assert records[0].last_update_step == 0
 
     # Second packet: predicted rel_pos fused with the fresh measurement.
@@ -328,3 +334,392 @@ def test_combined_estimate_singular_covariance_raises():
 def test_exploitation_waypoint():
     wp = exploitation_waypoint(est([3.0, 1.0], 0.1), [2.0, 0.0])
     assert np.allclose(wp, [1.0, 1.0])
+
+
+# -- float records against the array records they replaced -------------------
+#
+# Records used to hold a GaussianEstimate of numpy arrays.  The reference
+# implementations below are the storage round, the selection and the
+# combined estimate as they were on those records, kept verbatim; the float
+# records must give the same bits.
+
+
+@dataclass
+class RefRecord:
+    target_id: int
+    estimate: GaussianEstimate
+    last_update_step: int = 0
+
+    def copy(self):
+        est = self.estimate
+        return RefRecord(self.target_id, GaussianEstimate(est.mean, est.cov),
+                         self.last_update_step)
+
+
+@dataclass
+class RefNeighbor:
+    neighbor_id: int
+    records: dict = field(default_factory=dict)
+    rel_pos: GaussianEstimate | None = None
+    last_rx_step: int = -1
+
+
+def ref_update_storage(local, neighbors, detections, rx_packets, shift,
+                       sigma_shift, cfg, step=0):
+    shift = np.asarray(shift, dtype=float).reshape(2)
+    sigma_shift = np.asarray(sigma_shift, dtype=float).reshape(2, 2)
+    det_by_id = dict(detections)
+    for tid, rec in local.records.items():
+        predicted = propagate(rec.estimate, shift, cfg.q_bar)
+        if tid in det_by_id:
+            rec.estimate = fuse(predicted, det_by_id.pop(tid))
+            rec.last_update_step = step
+        else:
+            rec.estimate = predicted
+    for tid, e in det_by_id.items():
+        local.records[tid] = RefRecord(tid, e.copy(), step)
+    ref_prune(local.records, cfg.sigma_bar)
+    rel_growth = sigma_shift + cfg.motion_var * EYE2
+    heard_from = set()
+    for sender, records, rel_meas in rx_packets:
+        heard_from.add(sender)
+        nlist = neighbors.get(sender)
+        if nlist is None:
+            nlist = neighbors[sender] = RefNeighbor(sender)
+        nlist.records = {r.target_id: r.copy() for r in records}
+        if nlist.rel_pos is None:
+            nlist.rel_pos = rel_meas.copy()
+        else:
+            predicted = propagate(nlist.rel_pos, shift, rel_growth)
+            nlist.rel_pos = fuse(predicted, rel_meas)
+        nlist.last_rx_step = step
+    for nid, nlist in neighbors.items():
+        if nid in heard_from or nlist.rel_pos is None:
+            continue
+        nlist.rel_pos = propagate(nlist.rel_pos, shift, rel_growth)
+        for rec in nlist.records.values():
+            rec.estimate.cov = rec.estimate.cov + cfg.q_bar
+    for nlist in neighbors.values():
+        ref_prune(nlist.records, cfg.sigma_bar)
+
+
+def ref_prune(records, sigma_bar):
+    stale = [tid for tid, r in records.items()
+             if entropy(r.estimate.cov) > sigma_bar]
+    for tid in stale:
+        del records[tid]
+
+
+def ref_select_target(self_id, local, neighbors):
+    holdings = [(self_id, local.records, None)]
+    for nid in sorted(neighbors):
+        nlist = neighbors[nid]
+        if nlist.records:
+            holdings.append((nid, nlist.records, nlist.rel_pos))
+    holdings.sort(key=lambda h: h[0])
+    if all(not recs for _, recs, _ in holdings):
+        return 0
+    dets = {(aid, tid): entropy(rec.estimate.cov)
+            for aid, recs, _ in holdings for tid, rec in recs.items()}
+    claimed = {}
+    for aid, recs, _ in holdings:
+        for tid in sorted(recs, key=lambda t: (dets[(aid, t)], t)):
+            if tid in claimed:
+                continue
+            mine = dets[(aid, tid)]
+            wins = True
+            for other, o_recs, _ in holdings:
+                if other == aid or tid not in o_recs:
+                    continue
+                theirs = dets[(other, tid)]
+                if theirs < mine or (theirs == mine and other < aid):
+                    wins = False
+                    break
+            if wins:
+                claimed[tid] = aid
+                break
+    for tid, aid in claimed.items():
+        if aid == self_id:
+            return tid
+    best = None
+    for aid, recs, rel_pos in holdings:
+        for tid, rec in recs.items():
+            if tid in claimed:
+                continue
+            if aid == self_id:
+                h = dets[(aid, tid)]
+            else:
+                h = entropy(rec.estimate.cov + rel_pos.cov)
+            if best is None or (h, tid) < best[:2]:
+                best = (h, tid)
+    return best[1] if best else 0
+
+
+def ref_combined_estimate(holdings, target_ids):
+    chains = {}
+    for a, (local, neighbors) in enumerate(holdings):
+        by_target = {tid: [(rec.estimate, None)]
+                     for tid, rec in local.records.items()}
+        for nid in sorted(neighbors):
+            nlist = neighbors[nid]
+            if nlist.rel_pos is None:
+                continue
+            for tid, rec in nlist.records.items():
+                by_target.setdefault(tid, []).append(
+                    (rec.estimate, nlist.rel_pos))
+        for tid in target_ids:
+            if tid in by_target:
+                chains[(a, tid)] = by_target[tid]
+    if len(chains) < 4:
+        out = {}
+        for key, chain in chains.items():
+            sources = [e if rel is None
+                       else transform_neighbor_estimate(e, rel)
+                       for e, rel in chain]
+            est = sources[0].copy()
+            for s in sources[1:]:
+                est = fuse(est, s)
+            out[key] = est
+        return out
+    keys = sorted(chains, key=lambda k: -len(chains[k]))
+    means, covs, blocks = [], [], []
+    lift_rows, lift_means, lift_covs = [], [], []
+    n_active = len(keys)
+    for j in range(len(chains[keys[0]])):
+        while len(chains[keys[n_active - 1]]) <= j:
+            n_active -= 1
+        blocks.append(n_active)
+        for key in keys[:n_active]:
+            e, rel = chains[key][j]
+            if rel is not None:
+                lift_rows.append(len(means))
+                lift_means.append(rel.mean)
+                lift_covs.append(rel.cov)
+            means.append(e.mean)
+            covs.append(e.cov)
+    src_mean, src_cov = np.array(means), np.array(covs)
+    if lift_rows:
+        src_mean[lift_rows] += np.array(lift_means)
+        src_cov[lift_rows] += np.array(lift_covs)
+    mean, cov = src_mean[:len(keys)], src_cov[:len(keys)]
+    start = len(keys)
+    for n in blocks[1:]:
+        mean[:n], cov[:n] = fuse_stacked(mean[:n], cov[:n],
+                                         src_mean[start:start + n],
+                                         src_cov[start:start + n])
+        start += n
+    return {key: GaussianEstimate(mean[r], cov[r])
+            for r, key in enumerate(keys)}
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# Covariances with signed-zero off-diagonals, correlated ones, and a small
+# pool of repeats so that determinants tie across holders.
+def _spec_cov(rng, pool):
+    kind = rng.integers(4)
+    if kind == 0 and pool:
+        return pool[int(rng.integers(len(pool)))]
+    if kind == 1:
+        a, b = rng.uniform(1e-3, 3.0, 2)
+        z = float(rng.choice([0.0, -0.0]))
+        return (float(a), z, z, float(b))
+    m = rng.standard_normal((2, 2)) * rng.choice([0.05, 1.0, 20.0])
+    c = m @ m.T + rng.choice([1e-3, 0.05, 1.0]) * np.eye(2)
+    c = (float(c[0, 0]), float(c[0, 1]), float(c[0, 1]), float(c[1, 1]))
+    pool.append(c)
+    return c
+
+
+def _spec_mean(rng):
+    m = rng.uniform(-15.0, 15.0, 2)
+    if rng.random() < 0.2:
+        m[int(rng.integers(2))] = rng.choice([0.0, -0.0])
+    return (float(m[0]), float(m[1]))
+
+
+def _spec_records(rng, target_ids, p, pool, step):
+    return {t: (_spec_mean(rng), _spec_cov(rng, pool),
+                int(rng.integers(0, step + 1)))
+            for t in target_ids if rng.random() < p}
+
+
+def _spec_estimate(mean, cov):
+    return GaussianEstimate(np.array(mean), np.array(cov).reshape(2, 2))
+
+
+def _build(spec, new):
+    """Both record kinds from one spec: {tid: (mean, cov, last)}."""
+    if new:
+        return {t: TargetRecord(t, _spec_estimate(m, c), last)
+                for t, (m, c, last) in spec.items()}
+    return {t: RefRecord(t, _spec_estimate(m, c), last)
+            for t, (m, c, last) in spec.items()}
+
+
+def _spec_holding(rng, self_id, n_agents, target_ids, pool, step,
+                  placed=0.8):
+    local = _spec_records(rng, target_ids, 0.5, pool, step)
+    neighbors = {}
+    for nid in rng.permutation(np.arange(1, n_agents + 1)).tolist():
+        if nid == self_id or rng.random() < 0.2:
+            continue
+        rel = (_spec_mean(rng), _spec_cov(rng, pool)) \
+            if rng.random() < placed else None
+        neighbors[nid] = (_spec_records(rng, target_ids, 0.6, pool, step),
+                          rel)
+    return local, neighbors
+
+
+def _materialize(spec, new):
+    local_spec, neighbor_spec = spec
+    local = LocalTargetList(_build(local_spec, new))
+    neighbors = {}
+    for nid, (recs, rel) in neighbor_spec.items():
+        rel_pos = None if rel is None else _spec_estimate(*rel)
+        cls = NeighborTargetList if new else RefNeighbor
+        neighbors[nid] = cls(nid, _build(recs, new), rel_pos)
+    return local, neighbors
+
+
+def _assert_same_records(new, ref):
+    assert list(new) == list(ref)
+    for tid, rec in new.items():
+        want = ref[tid]
+        assert rec.target_id == want.target_id == tid
+        assert bits(rec.mean) == bits(want.estimate.mean)
+        assert bits(rec.cov) == bits(want.estimate.cov)
+        assert rec.last_update_step == want.last_update_step
+
+
+def _assert_same_holding(new, ref):
+    _assert_same_records(new[0].records, ref[0].records)
+    assert list(new[1]) == list(ref[1])
+    for nid, nl in new[1].items():
+        want = ref[1][nid]
+        _assert_same_records(nl.records, want.records)
+        assert nl.last_rx_step == want.last_rx_step
+        if want.rel_pos is None:
+            assert nl.rel_mean is None and nl.rel_cov is None
+        else:
+            assert bits(nl.rel_mean) == bits(want.rel_pos.mean)
+            assert bits(nl.rel_cov) == bits(want.rel_pos.cov)
+
+
+def test_storage_round_bit_identical_to_array_records():
+    rng = np.random.default_rng(71)
+    n_fused = n_pruned = n_ties = 0
+    for trial in range(150):
+        pool = []
+        target_ids = list(range(1, int(rng.integers(1, 7)) + 1))
+        step = int(rng.integers(5, 50))
+        spec = _spec_holding(rng, 1, int(rng.integers(2, 7)), target_ids,
+                             pool, step)
+        q = (0.01, float(rng.choice([0.0, -0.0])), 0.0, 0.02) \
+            if trial % 3 else (0.0, 0.0, 0.0, 0.0)
+        q_bar = np.array(q).reshape(2, 2)
+        # A record whose grown det lands exactly on the threshold: kept,
+        # because only dets above it are pruned.
+        grown = [entropy(_spec_estimate(m, c).cov + q_bar)
+                 for m, c, _ in spec[0].values()]
+        sigma_bar = float(rng.choice(grown)) if grown and rng.random() < 0.5 \
+            else float(rng.choice([3600.0, 2.0, 50.0]))
+        c = TrackerConfig(q_bar, sigma_bar=sigma_bar, motion_var=0.16)
+        new, ref = _materialize(spec, True), _materialize(spec, False)
+        for rnd in range(4):
+            shift = rng.normal(0.0, 0.3, 2) if rng.random() < 0.7 \
+                else np.array([-0.0, float(rng.choice([0.0, -0.0]))])
+            m = rng.normal(0.0, 0.03, (2, 2))
+            sigma = [np.zeros((2, 2)), m @ m.T,
+                     np.array([[1e-3, -0.0], [-0.0, 1e-3]])][rnd % 3]
+            dets = [(t, _spec_estimate(_spec_mean(rng), _spec_cov(rng, pool)))
+                    for t in target_ids if rng.random() < 0.4]
+            rx_new, rx_ref = [], []
+            for sender in range(2, 5):
+                if rng.random() < 0.5:
+                    continue
+                recs = _spec_records(rng, target_ids, 0.6, pool, step)
+                rel = _spec_estimate(_spec_mean(rng), _spec_cov(rng, pool))
+                rx_new.append((sender, list(_build(recs, True).values()),
+                               rel))
+                rx_ref.append((sender, list(_build(recs, False).values()),
+                               rel))
+            n_fused += sum(t in new[0].records for t, _ in dets)
+            before = sum(len(nl.records) for nl in new[1].values()) \
+                + len(new[0].records)
+            n_ties += sum(entropy(r.estimate.cov) == sigma_bar
+                          for r in ref[0].records.values())
+            update_storage(*new, dets, rx_new, shift, sigma, c,
+                           step=step + rnd)
+            ref_update_storage(*ref, dets, rx_ref, shift, sigma, c,
+                               step=step + rnd)
+            after = sum(len(nl.records) for nl in new[1].values()) \
+                + len(new[0].records)
+            n_pruned += after < before
+            _assert_same_holding(new, ref)
+    assert n_fused > 100 and n_pruned > 20 and n_ties > 10
+
+
+def test_select_target_matches_array_records():
+    rng = np.random.default_rng(73)
+    picks = set()
+    for _ in range(600):
+        pool = []
+        target_ids = list(range(1, int(rng.integers(1, 6)) + 1))
+        n_agents = int(rng.integers(1, 6))
+        self_id = int(rng.integers(1, n_agents + 1))
+        spec = _spec_holding(rng, self_id, n_agents, target_ids, pool, 10,
+                             placed=1.0)
+        new, ref = _materialize(spec, True), _materialize(spec, False)
+        got = select_target(self_id, *new)
+        assert got == ref_select_target(self_id, *ref)
+        picks.add(got)
+    assert picks >= {0, 1, 2, 3}
+
+
+def test_combined_estimate_matches_array_records():
+    rng = np.random.default_rng(79)
+    n_pairs = 0
+    for _ in range(200):
+        pool = []
+        target_ids = list(range(1, int(rng.integers(1, 7)) + 1))
+        n_agents = int(rng.integers(1, 9))
+        specs = [_spec_holding(rng, a, n_agents, target_ids, pool, 10)
+                 for a in range(1, n_agents + 1)]
+        new = [_materialize(s, True) for s in specs]
+        ref = [_materialize(s, False) for s in specs]
+        got = combined_estimate(new, target_ids)
+        want = ref_combined_estimate(ref, target_ids)
+        assert list(got) == list(want)
+        for key, e in got.items():
+            assert e.mean.tobytes() == want[key].mean.tobytes()
+            assert e.cov.tobytes() == want[key].cov.tobytes()
+        n_pairs += len(got)
+        # Asking for one target gathers only its sources, with the bits of
+        # the batched call.
+        for a, holding in enumerate(new):
+            tid = int(rng.choice(target_ids))
+            one = combined_estimate([holding], [tid])
+            assert set(one) == ({(0, tid)} if (a, tid) in got else set())
+            if one:
+                assert one[(0, tid)].mean.tobytes() == \
+                    got[(a, tid)].mean.tobytes()
+                assert one[(0, tid)].cov.tobytes() == \
+                    got[(a, tid)].cov.tobytes()
+    assert n_pairs > 1000
+
+
+def test_record_estimate_is_a_read_only_view():
+    rec = TargetRecord(2, est([1.0, -0.0], 0.3), 5)
+    assert rec.mean == (1.0, -0.0) and rec.cov == (0.3, 0.0, 0.0, 0.3)
+    view = rec.estimate
+    view.mean[0] = 99.0
+    view.cov += 1.0
+    assert rec.mean == (1.0, -0.0) and rec.cov == (0.3, 0.0, 0.0, 0.3)
+    assert np.array_equal(rec.estimate.mean, [1.0, 0.0])
+    copy = rec.copy()
+    assert copy is not rec and (copy.target_id, copy.mean, copy.cov,
+                                copy.last_update_step) == \
+        (2, rec.mean, rec.cov, 5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pherotrack.agent import BroadcastPacket, ControlInput
+from pherotrack.estimation import EPS_INV
 from pherotrack.pheromone import PheromoneList
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
                               deliver_broadcasts, hardware_table_preset,
@@ -80,6 +81,39 @@ def test_gate_rejects_nonpositive_deletion_threshold():
         WorldConfig(sigma_bar=-1.0)
 
 
+def test_gate_rejects_degenerate_sector_angle():
+    # The sector itself would raise on these only once the brains are built.
+    for phi in (0.0, -30.0, 360.5):
+        with pytest.raises(AssumptionError):
+            WorldConfig(phi_c_deg=phi)
+    WorldConfig(phi_c_deg=360.0)      # a full circle is a valid sector
+
+
+def test_gate_rejects_negative_neighbor_sensing_gain():
+    # With k_p = eta_floor = -1 the channel variance goes negative and the
+    # run died mid-way in sqrt.
+    with pytest.raises(AssumptionError):
+        WorldConfig(k_p=-1.0, eta_floor=-1.0)
+    with pytest.raises(AssumptionError):
+        WorldConfig(k_p=-1.0)
+    WorldConfig(k_p=0.0)              # the floor alone is a valid channel
+
+
+def test_gate_rejects_singular_noise_floor():
+    # At or below the inversion limit, a detection at the camera optimum
+    # (or a channel measurement at zero range) cannot be fused.
+    for floor in (-1.0, 0.0, EPS_INV):
+        with pytest.raises(AssumptionError):
+            WorldConfig(eta_floor=floor)
+    WorldConfig(eta_floor=2 * EPS_INV)
+
+
+def test_gate_rejects_nonpositive_turn_rate():
+    for turn in (0.0, -math.radians(15.0)):
+        with pytest.raises(AssumptionError):
+            WorldConfig(u_max=(0.4, turn))
+
+
 def test_presets_pass_the_gate():
     for name, factory in PRESETS.items():
         factory().validate()
@@ -113,6 +147,18 @@ def test_make_state_shapes_and_bounds():
     assert (state.agent_pos >= 0).all() and (state.agent_pos <= 30).all()
     assert (state.target_pos >= 0).all() and (state.target_pos <= 30).all()
     assert (np.abs(state.agent_heading) <= math.pi).all()
+
+
+def test_make_state_factors_noise_once_per_run():
+    cfg = sim_2d_preset(r_dp=((2e-3, 1.5e-3), (1.5e-3, 2e-3)))
+    state = make_state(cfg)
+    eps = 1e-15 * np.eye(2)
+    assert state.q_chol.tobytes() == \
+        np.linalg.cholesky(cfg.q_k + eps).tobytes()
+    assert state.dp_chol.tobytes() == \
+        np.linalg.cholesky(cfg.r_dp + eps).tobytes()
+    # No displacement noise: no factor, and the measurement is exact.
+    assert make_state(sim_2d_preset()).dp_chol is None
 
 
 def test_make_state_deterministic_per_seed():
