@@ -9,16 +9,13 @@ auction, local-greedy, and anti-flocking baselines.
 
 from .estimation import (EPS_INV, GaussianEstimate, SingularCovarianceError,
                          entropy, fuse, propagate)
-from .sensing import (AnalyticCovMap, BoundingBox, CalibrationTable,
-                      PolarMeasurement, SectorFov, analytic_cov_at,
-                      bbox_to_polar, best_viewpoint, conservative_cov,
-                      contains, interpolate_cov, load_calibration_csv,
-                      polar_to_estimate, save_calibration_csv,
-                      spherical_to_euclidean, synthetic_calibration_table)
+from .sensing import (AnalyticCovMap, CalibrationTable, SectorFov,
+                      analytic_cov_at, best_viewpoint, contains,
+                      interpolate_cov, load_calibration_csv,
+                      save_calibration_csv, synthetic_calibration_table)
 from .tracking import (LocalTargetList, NeighborTargetList, TargetRecord,
-                       TrackerConfig, combined_estimate, exploitation_waypoint,
-                       select_target, transform_neighbor_estimate,
-                       update_storage)
+                       TrackerConfig, combined_estimate, select_target,
+                       transform_neighbor_estimate, update_storage)
 from .pheromone import (GridGeometry, Pheromone, PheromoneConfig,
                         PheromoneGrid, PheromoneList, build_map, delta_map,
                         diffuse_region, exploration_waypoint,
@@ -33,6 +30,6 @@ from .baselines import (AuctionConfig, LevyConfig, NoFeasibleAssignmentError,
                         VisitedMap, antiflocking_waypoint, auction_assign,
                         levy_step_length, levy_waypoint, local_greedy_select)
 from .harness import (ExperimentSpec, RunMetrics, objective_H,
-                      run_monte_carlo, run_sweep, simulate_run, time_to_track)
+                      run_monte_carlo, run_sweep, simulate_run)
 
 __version__ = "0.1.0"

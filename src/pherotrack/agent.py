@@ -9,16 +9,20 @@ exploitation waypoint (target chosen) or the exploration waypoint (searching).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pheromone as ph
+from .baselines import local_greedy_select
 from .estimation import GaussianEstimate, add2, add4, entropy, scaled_eye
 from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint, contains,
                       rot2, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
                        select_target, update_storage)
+
+MISS_BUMP = scaled_eye(1.0)   # added to records a miss contradicts
 
 
 @dataclass
@@ -110,10 +114,9 @@ class AgentBrain:
     rng: np.random.Generator
     q_star: float = 0.5
     gains: PdGains = field(default_factory=PdGains)
-    search: str = "pheromone"       # pheromone | levy | antiflocking
+    explorer: Callable | None = None  # baseline search; None: pheromones
     assign: str = "greedy-distributed"  # greedy-distributed | local-greedy
     domain: tuple | None = None     # wall geometry, when known to the agent
-    miss_growth: float = 1.0        # extra cov growth for expected-but-missed
 
     local_targets: LocalTargetList = field(default_factory=LocalTargetList)
     neighbor_targets: dict = field(default_factory=dict)
@@ -236,19 +239,16 @@ class AgentBrain:
         reaches the prune threshold only after thousands of steps) and an
         agent can chase a phantom indefinitely.
         """
-        if self.miss_growth <= 0:
-            return
         det_ids = {tid for tid, _ in detections}
         sector = SectorFov(max(self.fov.range_bl - 0.25, 1e-6),
                            max(self.fov.half_angle - 0.05, 1e-6), heading)
-        bump = scaled_eye(float(self.miss_growth))
         clamp = self._clamper(own_pos)
         lifetime = self.pher_cfg.max_list_length()
         deposits = None   # gathered on first need
 
         def searched_since(mean, last_update):
             nonlocal deposits
-            if self.search != "pheromone" \
+            if self.explorer is not None \
                     or self.step_count - last_update <= lifetime:
                 return False
             if math.hypot(mean[0], mean[1]) > self.r_c:
@@ -274,12 +274,12 @@ class AgentBrain:
                              else add2(rec.mean, offset))
                 if contains(sector, mean) or \
                         searched_since(mean, rec.last_update_step):
-                    rec.cov = add4(rec.cov, bump)
+                    rec.cov = add4(rec.cov, MISS_BUMP)
 
     # -- the per-step loop --------------------------------------------------
 
     def step(self, detections, rx_packets, displacement, sigma_dp, heading,
-             forced_target=None, explore_fn=None, own_pos=None):
+             forced_target=None, own_pos=None):
         """Run one full agent iteration.
 
         Args:
@@ -292,12 +292,9 @@ class AgentBrain:
                 hardware, exact in the ideal simulation).
             forced_target: externally imposed selection (used by the
                 centralized auction baseline); None means negotiate locally.
-            explore_fn: override for the exploration waypoint (used by the
-                levy and anti-flocking baselines); called with the frame
-                shift, returns a local-frame waypoint.
-            own_pos: global position granted by the harness, used only to
-                keep exploration waypoints inside the physical domain
-                (standing in for a wall sensor).
+            own_pos: global position granted by the harness, used to keep
+                waypoints inside the physical domain (standing in for a wall
+                sensor) and handed to the baseline explorer.
 
         Returns:
             (BroadcastPacket, ControlInput, Telemetry)
@@ -312,7 +309,7 @@ class AgentBrain:
 
         self._apply_negative_info(detections, heading, own_pos)
 
-        if self.search == "pheromone":
+        if self.explorer is None:
             pher_rx = [
                 (p.sender, p.pheromones,
                  self.neighbor_targets[p.sender].rel_mean)
@@ -324,8 +321,6 @@ class AgentBrain:
         if forced_target is not None:
             k_star = int(forced_target)
         elif self.assign == "local-greedy":
-            from .baselines import local_greedy_select
-
             sector = SectorFov(self.fov.range_bl, self.fov.half_angle, heading)
             k_star = local_greedy_select(
                 self.local_targets, lambda mean: contains(sector, mean))
@@ -365,8 +360,8 @@ class AgentBrain:
                 waypoint = goal - viewpoint
             face = goal
             self.carried = None
-        elif explore_fn is not None:
-            waypoint = explore_fn(shift)
+        elif self.explorer is not None:
+            waypoint = self.explorer(shift, own_pos)
             face = waypoint
         else:
             waypoint = self._pheromone_waypoint(shift, own_pos)

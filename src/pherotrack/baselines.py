@@ -1,22 +1,23 @@
 """Comparison algorithms: Levy-walk search, local-greedy selection,
-centralized auction assignment, and a simplified anti-flocking search.
+centralized auction assignment and its team-wide oracle, and a simplified
+anti-flocking search (the harness wraps both searches as explorers).
 
 These deliberately get capabilities the proposed stack does not have (the
-auction sees every agent's table; anti-flocking gets global positions and a
-shared visited map).  The Levy walker goes the other way: it never touches
-pheromone state.
+auction oracle sees every agent's table; anti-flocking gets global positions
+and a shared visited map).  The Levy walker goes the other way: it never
+touches pheromone state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from scipy.signal import fftconvolve
 
-from .estimation import flat_entropy
+from .estimation import add4, flat_entropy
 
 
 class NoFeasibleAssignmentError(ValueError):
@@ -208,6 +209,83 @@ def _auction_core(values, cfg: AuctionConfig) -> dict:
 
 
 @dataclass
+class AuctionOracle:
+    """Team-wide auction: ``assignment`` (agent index -> forced target id) is
+    recomputed every ``PERIOD`` steps and whenever the known targets change."""
+
+    PERIOD = 15     # unannotated: a constant, not a field
+    assignment: dict = field(init=False, default_factory=dict)
+    known: set = field(init=False, default_factory=set)
+
+    def update(self, t, brains):
+        known = set()
+        for b in brains:
+            known |= set(b.local_targets.records)
+            for nl in b.neighbor_targets.values():
+                known |= set(nl.records)
+        if t % self.PERIOD == 0 or known != self.known:
+            self.assignment = _team_auction(brains, sorted(known),
+                                            self.assignment)
+            self.known = known
+
+
+def _team_auction(brains, known, prev):
+    """Centralized assignment over the union of current entropy tables.
+
+    Uses each agent's cheapest view of each target (local det, or the
+    neighbor-lifted det); targets nobody knows are dropped.  Pairs from the
+    previous assignment persist while the agent still has a view and nobody
+    else's view is dramatically sharper; without that hysteresis the near-tied
+    broadcast copies make the winner rotate every recomputation and no agent
+    ever settles.  Returns agent index -> 1-based target id.
+    """
+    if not known:
+        return {}
+    costs = np.full((len(brains), len(known)), np.inf)
+    for bi, b in enumerate(brains):
+        for ki, tid in enumerate(known):
+            best = math.inf
+            rec = b.local_targets.records.get(tid)
+            if rec is not None:
+                best = flat_entropy(rec.cov)
+            for nl in b.neighbor_targets.values():
+                nrec = nl.records.get(tid)
+                if nrec is not None and nl.rel_cov is not None:
+                    best = min(best,
+                               flat_entropy(add4(nrec.cov, nl.rel_cov)))
+            costs[bi, ki] = best
+    keep = [ki for ki in range(len(known)) if np.isfinite(costs[:, ki]).any()]
+    if not keep:
+        return {}
+    costs = costs[:, keep]
+    kept_ids = [known[ki] for ki in keep]
+    # A finite penalty for unknown pairs keeps the table feasible even when
+    # two targets are known only through the same agent; an agent stuck with
+    # a target it cannot see simply keeps exploring.
+    penalty = 1e6
+    costs[~np.isfinite(costs)] = penalty
+
+    sticky = {}
+    for agent, tid in prev.items():
+        if tid not in kept_ids or agent in sticky.values():
+            continue
+        ki = kept_ids.index(tid)
+        c = costs[agent, ki]
+        if c < penalty and costs[:, ki].min() > 1e-2 * c:
+            sticky[tid] = agent
+
+    free_agents = [a for a in range(len(brains)) if a not in sticky.values()]
+    free_cols = [ki for ki, tid in enumerate(kept_ids) if tid not in sticky]
+    out = {agent: tid for tid, agent in sticky.items()}
+    if free_cols and free_agents:
+        sub = costs[np.ix_(free_agents, free_cols)]
+        pairing = auction_assign(sub, AuctionConfig())
+        for a, ki in pairing.items():
+            out[free_agents[a]] = kept_ids[free_cols[ki]]
+    return out
+
+
+@dataclass
 class VisitedMap:
     """Shared global visited-cell map for the anti-flocking baseline."""
 
@@ -226,9 +304,6 @@ class VisitedMap:
         dx = self.xs - pos[0]
         dy = self.ys - pos[1]
         self.visited |= (dx[:, None] ** 2 + dy[None, :] ** 2) <= radius ** 2
-
-    def visited_fraction(self):
-        return float(self.visited.mean())
 
     def cell_center(self, i, j):
         return np.array([self.xs[i], self.ys[j]])

@@ -72,7 +72,10 @@ def main(argv=None) -> int:
                          default="agents", help="which study grid to iterate")
 
     args = parser.parse_args(argv)
-    spec = _make_spec(args)
+    try:
+        spec = _make_spec(args)
+    except (OSError, ValueError) as err:   # AssumptionError is a ValueError
+        parser.error(str(err))
 
     if args.command == "run":
         summary, _ = harness.run_monte_carlo(spec)

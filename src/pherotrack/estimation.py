@@ -108,7 +108,7 @@ _ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def inv2(c, check=True):
-    """Closed-form inverse of a 2x2 matrix or of a stack of them (..., 2, 2).
+    """Closed-form inverse of a stack of 2x2 matrices (..., 2, 2).
 
     With ``check`` (the default) every matrix must be safely invertible;
     sums of inverses of checked covariances need no second check.
@@ -118,19 +118,13 @@ def inv2(c, check=True):
             ``EPS_INV``.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim == 2:
-        (c00, c01), (c10, c11) = c.tolist()
-        if check:
-            _check_invertible(c00, c01, c10, c11)
-        i00, i01, i10, i11 = _inv_entries(c00, c01, c10, c11)
-        return np.array(((i00, i01), (i10, i11)))
     flat = c.reshape(-1, 4)
     c00, c01, c10, c11 = flat.T
     if check:
         _check_invertible(c00, c01, c10, c11)
     det = c00 * c11 - c01 * c10
     # Multiplying by -1 is an exact negation, so each entry rounds as the
-    # single-matrix path's -c01 / det does.  take() keeps the result
+    # float kernel's -c01 / det in _inv_entries does.  take() keeps the result
     # C-contiguous: np.matmul picks its kernel, and so its rounding, by
     # memory layout.
     out = flat.take(_ADJ, axis=1) * _ADJ_SIGN

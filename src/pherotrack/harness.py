@@ -1,10 +1,11 @@
 """Monte-Carlo runner, metrics, and CSV emission.
 
-Couples the ground-truth world with one brain per agent, runs seeded
-episodes, and scores them with the two harness-side metrics: the mean
-best-agent estimation error (the system objective) and the time-to-track
-predicate (every target simultaneously selected by some agent and inside
-that agent's true field of view).
+Builds one brain per agent (Levy and anti-flocking as explorers), steps them
+with the ground-truth world in seeded episodes, and scores them with the two
+harness-side metrics: the mean best-agent estimation error (the system
+objective) and the time-to-track predicate (every target simultaneously
+selected by some agent and inside that agent's true field of view; a world
+without targets never meets it, as vacuous success would look instant).
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import world as wd
-from .agent import AgentBrain, PdGains
-from .baselines import (AuctionConfig, LevyConfig, VisitedMap,
-                        antiflocking_waypoint, auction_assign, levy_waypoint)
+from .agent import AgentBrain
+from .baselines import (AuctionOracle, LevyConfig, VisitedMap,
+                        antiflocking_waypoint, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
-from .estimation import add4, flat_entropy
 from .tracking import TrackerConfig, combined_estimate
 
 SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
@@ -93,21 +93,6 @@ def objective_H(target_ids, true_rel, estimates, n_agents, domain_diag):
     return total / n_agents
 
 
-def time_to_track(satisfied_series, target_ids):
-    """First step at which every target is selected-and-visible; None if never.
-
-    A run with no targets never tracks anything (vacuous success would make
-    the empty world look instantly solved).
-    """
-    want = set(target_ids)
-    if not want:
-        return None
-    for t, satisfied in enumerate(satisfied_series):
-        if want <= satisfied:
-            return t
-    return None
-
-
 def _cov_at_fn(cfg: wd.WorldConfig):
     """Polar-to-covariance callable plus the viewpoint source for brains."""
     if cfg.calibration_csv is None:
@@ -121,7 +106,54 @@ def _cov_at_fn(cfg: wd.WorldConfig):
     return (lambda r, phi: interpolate_cov(table, r, phi)), table
 
 
+# Baseline explorers, ``explorer(shift, own_pos) -> local waypoint``, keep
+# world-frame endpoints: an agent may track for a while between explore
+# calls, and a relative waypoint not shifted during that gap comes back stale
+# (it can even point through a wall, leaving the agent pinned against it).
+
+
+class LevyExplorer:
+    """Levy-walk search for one agent (see :func:`levy_waypoint`)."""
+
+    def __init__(self, cfg: wd.WorldConfig, rng):
+        self.cfg = cfg
+        self.levy = LevyConfig(step_max=max(cfg.domain_diagonal(), 2.0))
+        self.rng = rng
+        self.endpoint = None
+
+    def __call__(self, shift, own_pos):
+        carried = None if self.endpoint is None else self.endpoint - own_pos
+        wp = levy_waypoint(carried, np.zeros(2), self.cfg.q_star, self.levy,
+                           self.rng, own_pos=own_pos, domain=self.cfg.domain)
+        self.endpoint = own_pos + wp
+        return wp
+
+
+class AntiflockingExplorer:
+    """Anti-flocking search on a shared map (:func:`antiflocking_waypoint`)."""
+
+    def __init__(self, cfg: wd.WorldConfig, vmap: VisitedMap, rng):
+        self.cfg = cfg
+        self.vmap = vmap
+        self.rng = rng
+        self.endpoint = None
+
+    def __call__(self, shift, own_pos):
+        wp = None if self.endpoint is None else self.endpoint - own_pos
+        if wp is not None:
+            reached = math.hypot(wp[0], wp[1]) < self.cfg.q_star
+            stale = self.vmap.is_visited_at(own_pos + wp)
+            if reached or stale:
+                wp = None
+        if wp is None:
+            wp = antiflocking_waypoint(self.vmap, own_pos, self.rng,
+                                       gain_radius=self.cfg.r_s)
+        self.endpoint = own_pos + wp
+        return wp
+
+
 def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
+    """Brains, detection covariance callable, and visited map to mark."""
     cov_fn, viewpoint_source = _cov_at_fn(cfg)
     tracker_cfg = TrackerConfig(cfg.q_bar, cfg.sigma_bar,
                                 motion_var=float(cfg.u_max[0]) ** 2)
@@ -129,8 +161,16 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
                                footprint_radius=cfg.r_s,
                                cell_size=cfg.cell_size)
     geom = GridGeometry(cfg.r_c, cfg.cell_size)
+    vmap = VisitedMap(cfg.domain) if search == "antiflocking" else None
     brains = []
     for i in range(cfg.n_agents):
+        rng = wd.agent_rng(cfg, i)
+        if search == "levy":
+            explorer = LevyExplorer(cfg, rng)
+        elif search == "antiflocking":
+            explorer = AntiflockingExplorer(cfg, vmap, rng)
+        else:
+            explorer = None
         brains.append(AgentBrain(
             agent_id=i + 1,
             fov=SectorFov(cfg.r_s, cfg.half_angle),
@@ -140,82 +180,13 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
             grid_geom=geom,
             r_c=cfg.r_c,
             u_max=cfg.u_max,
-            rng=wd.agent_rng(cfg, i),
+            rng=rng,
             q_star=cfg.q_star,
-            search=search,
+            explorer=explorer,
             assign=assign,
             domain=cfg.domain,
         ))
-    return brains, cov_fn
-
-
-AUCTION_PERIOD = 15
-
-
-def _known_targets(brains):
-    known = set()
-    for b in brains:
-        known |= set(b.local_targets.records)
-        for nl in b.neighbor_targets.values():
-            known |= set(nl.records)
-    return known
-
-
-def _auction_oracle(brains, cfg, prev=None):
-    """Centralized assignment over the union of current entropy tables.
-
-    Uses each agent's cheapest view of each target (local det, or the
-    neighbor-lifted det); targets nobody knows are dropped.  Pairs from the
-    previous assignment persist while the agent still has a view and nobody
-    else's view is dramatically sharper; without that hysteresis the near-tied
-    broadcast copies make the winner rotate every recomputation and no agent
-    ever settles.  Returns agent index -> 1-based target id.
-    """
-    known = sorted(_known_targets(brains))
-    if not known:
-        return {}
-    costs = np.full((len(brains), len(known)), np.inf)
-    for bi, b in enumerate(brains):
-        for ki, tid in enumerate(known):
-            best = math.inf
-            rec = b.local_targets.records.get(tid)
-            if rec is not None:
-                best = flat_entropy(rec.cov)
-            for nl in b.neighbor_targets.values():
-                nrec = nl.records.get(tid)
-                if nrec is not None and nl.rel_cov is not None:
-                    best = min(best,
-                               flat_entropy(add4(nrec.cov, nl.rel_cov)))
-            costs[bi, ki] = best
-    keep = [ki for ki in range(len(known)) if np.isfinite(costs[:, ki]).any()]
-    if not keep:
-        return {}
-    costs = costs[:, keep]
-    kept_ids = [known[ki] for ki in keep]
-    # A finite penalty for unknown pairs keeps the table feasible even when
-    # two targets are known only through the same agent; an agent stuck with
-    # a target it cannot see simply keeps exploring.
-    penalty = 1e6
-    costs[~np.isfinite(costs)] = penalty
-
-    sticky = {}
-    for agent, tid in (prev or {}).items():
-        if tid not in kept_ids or agent in sticky.values():
-            continue
-        ki = kept_ids.index(tid)
-        c = costs[agent, ki]
-        if c < penalty and costs[:, ki].min() > 1e-2 * c:
-            sticky[tid] = agent
-
-    free_agents = [a for a in range(len(brains)) if a not in sticky.values()]
-    free_cols = [ki for ki, tid in enumerate(kept_ids) if tid not in sticky]
-    out = {agent: tid for tid, agent in sticky.items()}
-    if free_cols and free_agents:
-        sub = costs[np.ix_(free_agents, free_cols)]
-        pairing = auction_assign(sub, AuctionConfig())
-        for a, ki in pairing.items():
-            out[free_agents[a]] = kept_ids[free_cols[ki]]
-    return out
+    return brains, cov_fn, vmap
 
 
 def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
@@ -224,56 +195,14 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
     """One deterministic episode; returns its metrics."""
     cfg = replace(cfg, seed=seed)
     state = wd.make_state(cfg)
-    brains, cov_fn = build_brains(cfg, search, assign)
+    brains, cov_fn, vmap = build_brains(cfg, search, assign)
     n = cfg.n_agents
     target_ids = list(range(1, cfg.n_targets + 1))
     diag = cfg.domain_diagonal()
-
-    levy_cfg = LevyConfig(step_max=max(diag, 2.0))
-    # Carried waypoints are stored as world-frame endpoints: an agent may
-    # track for a while between explore calls, and a relative waypoint that
-    # is not shifted during that gap comes back stale (it can even point
-    # through a wall, leaving the agent pinned against it).
-    levy_endpoint = [None] * n
-    vmap = VisitedMap(cfg.domain) if search == "antiflocking" else None
-    af_endpoint = [None] * n
-
-    def make_explore_fn(i):
-        if search == "levy":
-            def fn(shift):
-                pos = state.agent_pos[i]
-                carried = None if levy_endpoint[i] is None \
-                    else levy_endpoint[i] - pos
-                wp = levy_waypoint(carried, np.zeros(2), cfg.q_star,
-                                   levy_cfg, brains[i].rng,
-                                   own_pos=pos, domain=cfg.domain)
-                levy_endpoint[i] = pos + wp
-                return wp
-            return fn
-        if search == "antiflocking":
-            def fn(shift):
-                pos = state.agent_pos[i]
-                wp = None if af_endpoint[i] is None else af_endpoint[i] - pos
-                if wp is not None:
-                    reached = math.hypot(wp[0], wp[1]) < cfg.q_star
-                    stale = vmap.is_visited_at(pos + wp)
-                    if reached or stale:
-                        wp = None
-                if wp is None:
-                    wp = antiflocking_waypoint(vmap, pos, brains[i].rng,
-                                               gain_radius=cfg.r_s)
-                af_endpoint[i] = pos + wp
-                return wp
-            return fn
-        return None
-
-    explore_fns = [make_explore_fn(i) for i in range(n)]
+    oracle = AuctionOracle() if assign == "auction" else None
     packets = {}
-    pending_assign = {}
-    last_known = set()
     prev_pos = state.agent_pos.copy()
     metrics = RunMetrics(seed=seed, time_to_track=None)
-    satisfied_series = []
 
     for t in range(max_steps):
         if vmap is not None:
@@ -291,15 +220,14 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
             dets = wd.sense_targets(state, i, cfg, cov_fn)
             for tid, _ in dets:
                 metrics.first_detection.setdefault(tid, t)
-            forced = pending_assign.get(i, 0) if assign == "auction" else None
+            forced = None if oracle is None else oracle.assignment.get(i, 0)
             packet, u, telem = brains[i].step(
                 dets, rx[i], dp, sdp, state.agent_heading[i],
-                forced_target=forced, explore_fn=explore_fns[i],
-                own_pos=state.agent_pos[i])
+                forced_target=forced, own_pos=state.agent_pos[i])
             new_packets[i] = packet
             inputs.append(u)
-            if telem.target_id > 0 and target_in_fov_id(state, i,
-                                                        telem.target_id, cfg):
+            if telem.target_id > 0 and wd.target_in_fov(
+                    state, i, telem.target_id - 1, cfg):
                 satisfied.add(telem.target_id)
             if telemetry_writer is not None:
                 telemetry_writer.writerow([
@@ -320,16 +248,12 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
         metrics.h_series.append(
             objective_H(target_ids, true_rel, estimates, n, diag))
         metrics.n_tracked_series.append(len(satisfied))
-        satisfied_series.append(satisfied)
         if target_ids and metrics.time_to_track is None \
                 and set(target_ids) <= satisfied:
             metrics.time_to_track = t
 
-        if assign == "auction":
-            known = _known_targets(brains)
-            if t % AUCTION_PERIOD == 0 or known != last_known:
-                pending_assign = _auction_oracle(brains, cfg, pending_assign)
-                last_known = known
+        if oracle is not None:
+            oracle.update(t, brains)
 
         prev_pos = state.agent_pos.copy()
         wd.step_dynamics(state, inputs, cfg)
@@ -344,10 +268,6 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
             b.pheromone_map().to_pgm(os.path.join(
                 dump_maps_dir, f"agent{i + 1}_seed{seed}.pgm"))
     return metrics
-
-
-def target_in_fov_id(state, agent, target_id, cfg):
-    return wd.target_in_fov(state, agent, target_id - 1, cfg)
 
 
 def run_monte_carlo(spec: ExperimentSpec):
@@ -434,20 +354,6 @@ def write_summary_csv(path, summary):
                 "median_time_to_track"]
         w.writerow(keys)
         w.writerow([_fmt(summary[k]) for k in keys])
-
-
-def read_runs_csv(path):
-    rows = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append({
-                "seed": int(row["seed"]),
-                "time_to_track": int(row["time_to_track"])
-                if row["time_to_track"] else None,
-                "censored": bool(int(row["censored"])),
-                "n_tracked_final": int(row["n_tracked_final"]),
-            })
-    return rows
 
 
 # Sweep grids mirroring the reported studies.

@@ -1,8 +1,8 @@
 """Sensor geometry and covariance maps.
 
-Covers the sector field of view, the analytic camera covariance map used by
-the 2D simulation, and the calibration-table pipeline (bounding-box transform,
-spherical conversion, conservative covariance, N-nearest interpolation) that
+Covers the sector field of view and its one membership test, the analytic
+camera covariance map used by the 2D simulation, and the calibration table
+(N-nearest interpolation over a sampled covariance grid, saved as CSV) that
 stands in for a hardware-characterized sensor.
 """
 
@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import GaussianEstimate, check_cov, entropy
+from .estimation import check_cov, entropy
 
 
 def wrap_angle(a):
-    """Wrap an angle, or an array of them, to (-pi, pi]."""
-    if isinstance(a, np.ndarray) and a.ndim:
-        a = (a + np.pi) % (2.0 * np.pi) - np.pi
-        a[a == -np.pi] = np.pi
-        return a
+    """Wrap an angle to (-pi, pi]."""
     # Python floats round exactly as numpy's float64 scalars do.
     a = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
     return a if a != -math.pi else math.pi
@@ -53,29 +49,25 @@ class SectorFov:
             raise ValueError("sector angle must be in (0, 2*pi]")
 
 
+def sector_polar(x: float, y: float, range_bl: float, half_angle: float,
+                 heading: float):
+    """The one sector test: ``(r, bearing)`` of the sensor-relative point
+    ``(x, y)`` if it is in the sector (edges and r = 0 included), else None."""
+    r = math.hypot(x, y)
+    if r > range_bl:
+        return None
+    if r == 0.0:
+        return 0.0, 0.0
+    bearing = wrap_angle(math.atan2(y, x) - heading)
+    if abs(bearing) > half_angle:
+        return None
+    return r, bearing
+
+
 def contains(fov: SectorFov, point) -> bool:
     """Sector membership test for a point relative to the FOV's agent."""
-    x, y = float(point[0]), float(point[1])
-    r = math.hypot(x, y)
-    if r > fov.range_bl:
-        return False
-    if r == 0.0:
-        return True
-    bearing = wrap_angle(math.atan2(y, x) - fov.heading)
-    return abs(bearing) <= fov.half_angle
-
-
-@dataclass
-class PolarMeasurement:
-    """Range/bearing measurement in the sensor frame.
-
-    ``elevation`` is only meaningful for the 3D spherical transform; the 2D
-    pipeline leaves it at zero.
-    """
-
-    range_bl: float
-    bearing: float
-    elevation: float = 0.0
+    return sector_polar(float(point[0]), float(point[1]), fov.range_bl,
+                        fov.half_angle, fov.heading) is not None
 
 
 @dataclass
@@ -96,23 +88,10 @@ class AnalyticCovMap:
         return self.k1 * (r - self.r_best) ** 2 + self.k2 * phi ** 4
 
 
-def analytic_cov_at(cmap: AnalyticCovMap, meas: PolarMeasurement) -> np.ndarray:
+def analytic_cov_at(cmap: AnalyticCovMap, r, bearing) -> np.ndarray:
     """Measurement covariance at a polar location: max(eta, floor) * I."""
-    eta = max(cmap.eta(meas.range_bl, meas.bearing), cmap.eta_floor)
+    eta = max(cmap.eta(r, bearing), cmap.eta_floor)
     return np.array([[eta, 0.0], [0.0, eta]])
-
-
-def polar_to_estimate(
-    meas: PolarMeasurement, cmap: AnalyticCovMap, heading: float = 0.0
-) -> GaussianEstimate:
-    """Convert a polar measurement to a cartesian estimate in the local frame.
-
-    ``heading`` rotates the sensor frame into the agent's world-axis-aligned
-    local frame.  The covariance is isotropic, so only the mean rotates.
-    """
-    ang = heading + meas.bearing
-    mean = meas.range_bl * np.array([math.cos(ang), math.sin(ang)])
-    return GaussianEstimate(mean, analytic_cov_at(cmap, meas))
 
 
 @dataclass
@@ -165,69 +144,6 @@ def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
     if w.sum() <= 0:
         w = np.ones_like(w)
     return np.einsum("m,mij->ij", w, table.covs[idx]) / w.sum()
-
-
-def conservative_cov(measured, true) -> np.ndarray:
-    """Deliberately conservative covariance from paired calibration samples.
-
-    diag(mean squared per-component error) + sample covariance of the errors.
-    The bias term keeps systematic offsets visible even when the spread is
-    small.
-    """
-    measured = np.asarray(measured, dtype=float)
-    true = np.asarray(true, dtype=float)
-    if measured.shape != true.shape or measured.ndim != 2:
-        raise ValueError("measured/true sample arrays must share an (N, d) shape")
-    if len(measured) < 2:
-        raise ValueError("need at least 2 samples for a conservative covariance")
-    err = measured - true
-    bias = np.diag((err ** 2).mean(axis=0))
-    spread = np.cov(err, rowvar=False)
-    return bias + np.atleast_2d(spread)
-
-
-@dataclass
-class BoundingBox:
-    """Normalized image-frame bounding box."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("bounding box must have positive extent")
-
-
-def bbox_to_polar(bb: BoundingBox, k_r, k_theta, k_psi=0.0) -> PolarMeasurement:
-    """Recover a polar measurement from a detector bounding box.
-
-    Range scales as the inverse square root of the box area; bearing and
-    elevation are linear in the box center with per-axis gains.
-    """
-    if k_r <= 0:
-        raise ValueError("range gain k_r must be positive")
-    area = (bb.x_max - bb.x_min) * (bb.y_max - bb.y_min)
-    if area <= 0:
-        raise ValueError("bounding box area must be positive")
-    return PolarMeasurement(
-        range_bl=math.sqrt(k_r / area),
-        bearing=k_theta * 0.5 * (bb.x_max + bb.x_min),
-        elevation=k_psi * 0.5 * (bb.y_max + bb.y_min),
-    )
-
-
-def spherical_to_euclidean(meas: PolarMeasurement) -> np.ndarray:
-    """Spherical (r, theta, psi) to 3D euclidean, camera convention."""
-    r, th, ps = meas.range_bl, meas.bearing, meas.elevation
-    return np.array(
-        [
-            r * math.cos(th) * math.sin(ps),
-            r * math.sin(th) * math.sin(ps),
-            r * math.cos(ps),
-        ]
-    )
 
 
 def best_viewpoint(cov_source, fov: SectorFov, grid_res=(0.1, math.radians(1.0))):
@@ -313,7 +229,7 @@ def synthetic_calibration_table(
         for k in range(-n_phi, n_phi + 1):
             phi = k * dphi
             points.append([r, phi])
-            covs.append(analytic_cov_at(cmap, PolarMeasurement(r, phi)))
+            covs.append(analytic_cov_at(cmap, r, phi))
         r += dr
     r_max = 2.0 * fov.range_bl * math.sin(min(fov.half_angle, math.pi / 2))
     return CalibrationTable(np.array(points), np.array(covs),

@@ -2,8 +2,8 @@
 
 Holds the local target list, the per-neighbor target lists (kept in each
 neighbor's frame), the storage update rule, the two-phase distributed-greedy
-target selection, the neighbor-frame transform, batched combined-estimate
-fusion, and the exploitation waypoint.
+target selection, the neighbor-frame transform, and batched
+combined-estimate fusion.
 """
 
 from __future__ import annotations
@@ -336,7 +336,3 @@ def _fuse_chains_stacked(chains):
     return {key: GaussianEstimate(mean[r], cov[r])
             for r, key in enumerate(keys)}
 
-
-def exploitation_waypoint(est: GaussianEstimate, viewpoint) -> np.ndarray:
-    """Waypoint that parks the chosen target at the sensor's best viewpoint."""
-    return est.mean - np.asarray(viewpoint, dtype=float).reshape(2)

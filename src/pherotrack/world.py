@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .estimation import EPS_INV, EYE2, GaussianEstimate
-from .sensing import AnalyticCovMap, wrap_angle
+from .sensing import AnalyticCovMap, sector_polar, wrap_angle
 
 
 class AssumptionError(ValueError):
@@ -137,7 +137,11 @@ class WorldConfig:
     @classmethod
     def from_json(cls, path):
         with open(path) as f:
-            return cls(**json.load(f))
+            params = json.load(f)
+        unknown = set(params) - {f.name for f in fields(cls)}
+        if unknown:
+            raise AssumptionError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**params)
 
 
 def sim_2d_preset(**overrides) -> WorldConfig:
@@ -262,12 +266,10 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
 
 def target_in_fov(state: WorldState, agent: int, target: int,
                   cfg: WorldConfig) -> bool:
-    rel = state.target_pos[target] - state.agent_pos[agent]
-    r = math.hypot(rel[0], rel[1])
-    if r > cfg.r_s:
-        return False
-    bearing = wrap_angle(math.atan2(rel[1], rel[0]) - state.agent_heading[agent])
-    return abs(bearing) <= cfg.half_angle
+    """Whether the agent's true sector holds the target (0-based index)."""
+    x, y = (state.target_pos[target] - state.agent_pos[agent]).tolist()
+    return sector_polar(x, y, cfg.r_s, cfg.half_angle,
+                        float(state.agent_heading[agent])) is not None
 
 
 def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
@@ -282,14 +284,13 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
     cmap = cfg.cov_map() if cov_at is None else None
     out = []
     rng = state.sense_rngs[agent]
+    heading = float(state.agent_heading[agent])
     rels = state.target_pos - state.agent_pos[agent]
     for k, (x, y) in enumerate(rels.tolist()):
-        r = math.hypot(x, y)
-        if r > cfg.r_s:
+        polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
+        if polar is None:
             continue
-        bearing = wrap_angle(math.atan2(y, x) - state.agent_heading[agent])
-        if abs(bearing) > cfg.half_angle:
-            continue
+        r, bearing = polar
         if cmap is None:
             cov = cov_at(r, bearing)
             noise = np.linalg.cholesky(cov) @ rng.standard_normal(2)

@@ -126,7 +126,7 @@ def test_distant_target_drives_toward_viewpoint():
 
 
 def test_negative_information_inflates_contradicted_record():
-    brain = make_brain(miss_growth=1.0)
+    brain = make_brain()
     brain.local_targets.records[1] = TargetRecord(
         1, GaussianEstimate([2.0, 0.0], 0.04 * np.eye(2)))
     step(brain)   # record mean sits in the sensed sector, nothing detected
@@ -134,7 +134,7 @@ def test_negative_information_inflates_contradicted_record():
     # predict growth (q_bar) plus the miss bump.
     assert np.allclose(cov, (0.04 + 0.01 + 1.0) * np.eye(2))
 
-    outside = make_brain(miss_growth=1.0)
+    outside = make_brain()
     outside.local_targets.records[1] = TargetRecord(
         1, GaussianEstimate([-2.0, 0.0], 0.04 * np.eye(2)))   # behind
     step(outside)
@@ -170,19 +170,31 @@ def test_local_greedy_ignores_out_of_sector_records():
     assert telem.target_id == 0
 
 
-def test_explore_fn_overrides_pheromone_waypoint():
+def test_explorer_steers_instead_of_pheromones(monkeypatch):
     calls = []
 
-    def fake_explore(shift):
-        calls.append(np.array(shift))
+    def fake_explorer(shift, own_pos):
+        calls.append((shift.tolist(), own_pos.tolist()))
         return np.array([3.0, 4.0])
 
-    brain = make_brain()
-    _, u, telem = step(brain, explore_fn=fake_explore)
-    assert len(calls) == 1
-    assert np.allclose(telem.waypoint, [3.0, 4.0])
-    # No pheromone machinery ran for the waypoint: carried stays unset.
-    assert brain.carried is None
+    def no_pheromone_waypoint(self, shift, own_pos=None):
+        raise AssertionError("a brain with an explorer steered by pheromones")
+
+    monkeypatch.setattr(AgentBrain, "_pheromone_waypoint",
+                        no_pheromone_waypoint)
+    brain = make_brain(explorer=fake_explorer)
+    for _ in range(3):
+        _, u, telem = brain.step([], [], np.array([0.5, 0.0]),
+                                 np.zeros((2, 2)), 0.0,
+                                 own_pos=np.array([15.0, 15.0]))
+        assert telem.mode == "explore"
+        assert telem.waypoint.tolist() == [3.0, 4.0]
+    # Called once per explore step with the frame shift and the true pose.
+    assert calls == [([-0.5, -0.0], [15.0, 15.0])] * 3
+    # The explorer's brain keeps no pheromones and no carried waypoint.
+    assert len(brain.own_pheromones) == 0 and brain.carried is None
+    # Its control heads for the explorer's waypoint.
+    assert u == pd_control([3.0, 4.0], [3.0, 4.0], brain.gains, U_MAX)
 
 
 def test_exploration_waypoint_stays_in_domain():
@@ -236,7 +248,7 @@ def test_broadcast_records_share_floats_but_never_mutations():
     assert sent.mean is rec.mean and sent.cov is rec.cov
 
     rel = GaussianEstimate([1.0, 0.0], 0.01 * np.eye(2))
-    a, b = make_brain(agent_id=1, miss_growth=1.0), make_brain(agent_id=3)
+    a, b = make_brain(agent_id=1), make_brain(agent_id=3)
     for r in (a, b):
         update_storage(r.local_targets, r.neighbor_targets, [],
                        [(2, packet.targets, rel)], np.zeros(2),
@@ -260,12 +272,10 @@ def test_broadcast_records_share_floats_but_never_mutations():
 def _reference_negative_info(brain, local, neighbors, detections, heading,
                              own_pos):
     """Negative information as it was on array records (``.estimate``)."""
-    if brain.miss_growth <= 0:
-        return
     det_ids = {tid for tid, _ in detections}
     sector = SectorFov(max(brain.fov.range_bl - 0.25, 1e-6),
                        max(brain.fov.half_angle - 0.05, 1e-6), heading)
-    bump = brain.miss_growth * np.eye(2)
+    bump = 1.0 * np.eye(2)
     lifetime = brain.pher_cfg.max_list_length()
 
     def clamp_rel(rel):
@@ -277,7 +287,7 @@ def _reference_negative_info(brain, local, neighbors, detections, heading,
         return np.array((gx - ox, gy - oy))
 
     def searched_since(mean, last_update):
-        if brain.search != "pheromone" \
+        if brain.explorer is not None \
                 or brain.step_count - last_update <= lifetime:
             return False
         if math.hypot(mean[0], mean[1]) > brain.r_c:
@@ -310,13 +320,15 @@ def test_negative_info_bit_identical_to_array_records():
     from test_tracking import _assert_same_holding, _materialize, \
         _spec_holding
 
+    def levy_like(shift, own_pos):       # any explorer turns pheromones off
+        return np.zeros(2)
+
     rng = np.random.default_rng(83)
     bumped = searched = 0
     for trial in range(300):
         pool = []
         domain = None if trial % 5 == 0 else (30.0, 30.0)
-        brain = make_brain(search="pheromone" if trial % 4 else "levy",
-                           miss_growth=float(rng.choice([1.0, 0.3])),
+        brain = make_brain(explorer=None if trial % 4 else levy_like,
                            domain=domain)
         brain.step_count = int(rng.integers(0, 120))
         # Deposits near the agent, so stale records can be "searched since".
@@ -344,5 +356,5 @@ def test_negative_info_bit_identical_to_array_records():
         stale = [r for r in new[0].records.values()
                  if brain.step_count - r.last_update_step
                  > brain.pher_cfg.max_list_length()]
-        searched += bool(stale) and brain.search == "pheromone"
+        searched += bool(stale) and brain.explorer is None
     assert bumped > 50 and searched > 5

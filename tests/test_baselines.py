@@ -187,12 +187,12 @@ def test_auction_sparse_feasible_tables_match_oracle():
 
 def test_visited_map_marking():
     vmap = VisitedMap((10.0, 6.0), cell_size=1.0)
-    assert vmap.visited_fraction() == 0.0
+    assert not vmap.visited.any()
     vmap.mark_seen([2.0, 2.0], 1.1)
     assert vmap.is_visited_at([2.0, 2.0])
     assert vmap.is_visited_at([2.9, 2.2])    # neighboring cell center in range
     assert not vmap.is_visited_at([8.0, 5.0])
-    assert 0.0 < vmap.visited_fraction() < 1.0
+    assert vmap.visited.any() and not vmap.visited.all()
 
 
 def test_antiflocking_prefers_high_gain_low_distance():

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from pherotrack.harness import (TELEMETRY_COLUMNS, ExperimentSpec,
-                                objective_H, read_runs_csv, run_monte_carlo,
-                                run_sweep, simulate_run, summarize,
-                                time_to_track)
+                                objective_H, run_monte_carlo, run_sweep,
+                                simulate_run, summarize)
 from pherotrack.world import hardware_table_preset, sim_2d_preset
 from pherotrack import cli
 
@@ -70,20 +69,6 @@ def test_objective_matches_naive_oracle_on_random_scenes():
         got = objective_H(ids, true_rel, estimates, n_agents, diag)
         want = naive_objective(ids, true_rel, estimates, n_agents, diag)
         assert abs(got - want) <= 1e-12
-
-
-# -- time-to-track predicate -------------------------------------------------
-
-
-def test_time_to_track_trivials():
-    assert time_to_track([set(), {1}, {1}], [1]) == 1
-    assert time_to_track([set(), set()], [1]) is None           # never
-    assert time_to_track([], [1]) is None
-    # Staggered acquisitions: all-simultaneous first at t=12.
-    series = [set()] * 5 + [{1}] * 7 + [{1, 2}]
-    assert time_to_track(series, [1, 2]) == 12
-    # Empty target set is censored, not vacuously tracked.
-    assert time_to_track([set()], []) is None
 
 
 def test_summarize():
@@ -148,8 +133,9 @@ def test_summary_recomputable_from_runs_csv(tmp_path):
     spec = ExperimentSpec(config=small_cfg(), runs=3, max_steps=60,
                           out_dir=str(tmp_path))
     summary, _ = run_monte_carlo(spec)
-    rows = read_runs_csv(tmp_path / "runs.csv")
-    times = [r["time_to_track"] for r in rows if r["time_to_track"] is not None]
+    with open(tmp_path / "runs.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    times = [int(r["time_to_track"]) for r in rows if r["time_to_track"]]
     assert len(rows) == summary["runs"]
     assert len(times) == summary["completed"]
     if times:
@@ -193,12 +179,35 @@ def test_h_series_finite_and_metrics_consistent():
         assert m.n_tracked_series[m.time_to_track] == 1
 
 
-def test_every_search_and_assign_combination_runs():
-    cfg = small_cfg(n_agents=2, n_targets=2)
-    for search in ("pheromone", "levy", "antiflocking"):
-        for assign in ("greedy-distributed", "auction", "local-greedy"):
-            m = simulate_run(cfg, search, assign, max_steps=30, seed=2)
-            assert len(m.h_series) >= 1
+PAIR_CFG = small_cfg(n_agents=2, n_targets=2)
+
+
+@pytest.fixture(scope="module")
+def every_pair_runs():
+    """One run per search x assign pair, carried on past time-to-track."""
+    return [simulate_run(PAIR_CFG, search, assign, max_steps=120, seed=2,
+                         stop_when_tracked=False)
+            for search in ("pheromone", "levy", "antiflocking")
+            for assign in ("greedy-distributed", "auction", "local-greedy")]
+
+
+def test_every_search_and_assign_combination_runs(every_pair_runs):
+    assert len(every_pair_runs) == 9
+    for m in every_pair_runs:
+        assert len(m.h_series) == 120
+        assert np.isfinite(m.h_series).all()
+
+
+def test_time_to_track_trivials(every_pair_runs):
+    # Time to track is the first step at which as many targets are tracked
+    # (selected, and truly in view of the selecting agent) as exist.
+    tracked = 0
+    for m in every_pair_runs:
+        first = [t for t, k in enumerate(m.n_tracked_series)
+                 if k == PAIR_CFG.n_targets][:1]
+        assert [m.time_to_track] == (first or [None])
+        tracked += m.time_to_track is not None
+    assert tracked >= 5
 
 
 @pytest.mark.parametrize("n_agents,n_targets", [(2, 4), (1, 3)])
@@ -218,8 +227,8 @@ def test_auction_with_more_targets_than_agents(tmp_path, n_agents, n_targets):
     # Some agent did track, and some run knew more targets than agents.
     assert max(max(m.n_tracked_series) for m in results) >= 1
     assert max(len(m.first_detection) for m in results) > n_agents
-    rows = read_runs_csv(tmp_path / "runs.csv")
-    assert [r["censored"] for r in rows] == [True, True]
+    with open(tmp_path / "runs.csv", newline="") as f:
+        assert [r["censored"] for r in csv.DictReader(f)] == ["1", "1"]
 
 
 def test_hardware_table_preset_runs():
@@ -324,3 +333,41 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert rc == 0
     assert "env30" in capsys.readouterr().out
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+# A bad spec is a usage error (exit code 2 with the reason), not a traceback.
+
+
+def cli_usage_error(capsys, *args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--steps", "3", *args])
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_cli_zero_runs_is_usage_error(tmp_path, capsys):
+    err = cli_usage_error(capsys, "--runs", "0", "--out", str(tmp_path))
+    assert "need runs >= 1" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_config_failing_the_gate_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"r_s": 13.0, "r_c": 12.0}')
+    err = cli_usage_error(capsys, "--config", str(path),
+                          "--out", str(tmp_path / "out"))
+    assert "r_s > r_c" in err
+
+
+def test_cli_missing_config_is_usage_error(tmp_path, capsys):
+    err = cli_usage_error(capsys, "--config", str(tmp_path / "no.json"),
+                          "--out", str(tmp_path / "out"))
+    assert "no.json" in err
+
+
+def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_agents": 2, "n_agnets": 3}')
+    err = cli_usage_error(capsys, "--config", str(path),
+                          "--out", str(tmp_path / "out"))
+    assert "unknown config keys: ['n_agnets']" in err

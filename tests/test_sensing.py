@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from pherotrack.sensing import (AnalyticCovMap, BoundingBox, CalibrationTable,
-                                CALIBRATION_CSV_FIELDS, PolarMeasurement,
-                                SectorFov, analytic_cov_at, bbox_to_polar,
-                                best_viewpoint, conservative_cov, contains,
+from pherotrack.sensing import (AnalyticCovMap, CalibrationTable,
+                                CALIBRATION_CSV_FIELDS, SectorFov,
+                                analytic_cov_at, best_viewpoint, contains,
                                 interpolate_cov, load_calibration_csv,
-                                polar_to_estimate, save_calibration_csv,
-                                spherical_to_euclidean,
-                                synthetic_calibration_table, rot2, wrap_angle)
+                                save_calibration_csv,
+                                synthetic_calibration_table, wrap_angle)
 
 
 def test_wrap_angle():
@@ -21,8 +19,10 @@ def test_wrap_angle():
     assert math.isclose(wrap_angle(3 * math.pi), math.pi)
     assert math.isclose(wrap_angle(-3 * math.pi), math.pi)
     assert math.isclose(wrap_angle(math.pi + 0.1), -math.pi + 0.1)
-    arr = wrap_angle(np.array([0.0, 2 * math.pi, -math.pi]))
-    assert np.allclose(arr, [0.0, 0.0, math.pi])
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(2 * math.pi) == 0.0
+    # numpy scalars (headings read from the world state) wrap the same way.
+    assert wrap_angle(np.float64(3 * math.pi)) == wrap_angle(3 * math.pi)
 
 
 def test_sector_contains():
@@ -49,29 +49,15 @@ def test_sector_validation():
 def test_analytic_cov_map_values():
     cmap = AnalyticCovMap(k1=1.0, k2=1.0, r_best=2.0, eta_floor=1e-3)
     # Exact optimum hits the floor rather than going singular.
-    assert np.allclose(analytic_cov_at(cmap, PolarMeasurement(2.0, 0.0)),
+    assert np.allclose(analytic_cov_at(cmap, 2.0, 0.0),
                        1e-3 * np.eye(2))
-    assert np.allclose(analytic_cov_at(cmap, PolarMeasurement(4.0, 0.0)),
+    assert np.allclose(analytic_cov_at(cmap, 4.0, 0.0),
                        4.0 * np.eye(2))
     phi = 0.5
-    assert np.allclose(analytic_cov_at(cmap, PolarMeasurement(2.0, phi)),
+    assert np.allclose(analytic_cov_at(cmap, 2.0, phi),
                        phi ** 4 * np.eye(2))
     # Quadratic in range, quartic in bearing.
     assert math.isclose(cmap.eta(5.0, 0.3), 9.0 + 0.3 ** 4)
-
-
-def test_polar_to_estimate_rotates_mean_only():
-    cmap = AnalyticCovMap()
-    est = polar_to_estimate(PolarMeasurement(2.0, 0.3), cmap, heading=0.0)
-    want = 2.0 * np.array([math.cos(0.3), math.sin(0.3)])
-    assert np.allclose(est.mean, want, atol=1e-12)
-    # Rotating the sensor frame moves the mean but not the (isotropic,
-    # bearing-dependent) covariance.
-    est2 = polar_to_estimate(PolarMeasurement(2.0, 0.3), cmap,
-                             heading=math.pi / 2)
-    assert np.allclose(est2.mean, rot2(math.pi / 2) @ want, atol=1e-12)
-    assert np.allclose(est.cov, est2.cov)
-    assert np.allclose(est.cov, 0.3 ** 4 * np.eye(2))
 
 
 def test_best_viewpoint_analytic():
@@ -150,42 +136,3 @@ def test_calibration_csv_roundtrip(tmp_path):
     loaded = load_calibration_csv(path)
     assert np.allclose(loaded.points, table.points, atol=1e-12)
     assert np.allclose(loaded.covs, table.covs, atol=1e-12)
-
-
-def test_conservative_cov_oracle():
-    rng = np.random.default_rng(5)
-    measured = rng.standard_normal((50, 2))
-    true = rng.standard_normal((50, 2))
-    err = measured - true
-    want = np.diag((err ** 2).mean(axis=0)) + np.cov(err, rowvar=False)
-    assert np.allclose(conservative_cov(measured, true), want, atol=1e-12)
-    # Perfect calibration: all-zero matrix.
-    same = rng.standard_normal((10, 2))
-    assert np.allclose(conservative_cov(same, same), np.zeros((2, 2)))
-
-
-def test_conservative_cov_validation():
-    with pytest.raises(ValueError):
-        conservative_cov(np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        conservative_cov(np.zeros((3, 2)), np.zeros((4, 2)))
-
-
-def test_bbox_to_polar():
-    bb = BoundingBox(-0.25, 0.25, -0.125, 0.125)   # area 0.125
-    meas = bbox_to_polar(bb, k_r=0.5, k_theta=2.0, k_psi=1.0)
-    assert math.isclose(meas.range_bl, 2.0)
-    assert math.isclose(meas.bearing, 0.0)
-    off = BoundingBox(0.1, 0.3, 0.0, 0.2)
-    assert math.isclose(bbox_to_polar(off, 1.0, 2.0).bearing, 0.4)
-    with pytest.raises(ValueError):
-        BoundingBox(0.5, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        bbox_to_polar(bb, k_r=0.0, k_theta=1.0)
-
-
-def test_spherical_to_euclidean():
-    v = spherical_to_euclidean(PolarMeasurement(2.0, 0.0, math.pi / 2))
-    assert np.allclose(v, [2.0, 0.0, 0.0], atol=1e-12)
-    v = spherical_to_euclidean(PolarMeasurement(3.0, 0.0, 0.0))
-    assert np.allclose(v, [0.0, 0.0, 3.0], atol=1e-12)

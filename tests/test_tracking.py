@@ -10,9 +10,8 @@ from pherotrack.estimation import (EYE2, GaussianEstimate,
                                    fuse_stacked, propagate)
 from pherotrack.tracking import (LocalTargetList, NeighborTargetList,
                                  TargetRecord, TrackerConfig,
-                                 combined_estimate, exploitation_waypoint,
-                                 select_target, transform_neighbor_estimate,
-                                 update_storage)
+                                 combined_estimate, select_target,
+                                 transform_neighbor_estimate, update_storage)
 
 
 def cfg(**kw):
@@ -329,11 +328,6 @@ def test_combined_estimate_singular_covariance_raises():
         rel_pos=GaussianEstimate([0.5, 0.5], np.zeros((2, 2))))
     with pytest.raises(SingularCovarianceError):
         combined_estimate([(LocalTargetList(), {}), (local, {2: nl})], [1])
-
-
-def test_exploitation_waypoint():
-    wp = exploitation_waypoint(est([3.0, 1.0], 0.1), [2.0, 0.0])
-    assert np.allclose(wp, [1.0, 1.0])
 
 
 # -- float records against the array records they replaced -------------------

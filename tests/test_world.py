@@ -8,6 +8,7 @@ import pytest
 from pherotrack.agent import BroadcastPacket, ControlInput
 from pherotrack.estimation import EPS_INV
 from pherotrack.pheromone import PheromoneList
+from pherotrack.sensing import SectorFov, contains, sector_polar
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
                               deliver_broadcasts, hardware_table_preset,
                               make_state, sense_displacement, sense_targets,
@@ -136,6 +137,13 @@ def test_config_json_roundtrip(tmp_path):
     assert np.allclose(loaded.u_max, cfg.u_max)
 
 
+def test_config_json_names_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_agents": 3, "r_sense": 4.0, "sead": 1}')
+    with pytest.raises(AssumptionError, match=r"\['r_sense', 'sead'\]"):
+        WorldConfig.from_json(path)
+
+
 # -- state and streams -------------------------------------------------------
 
 
@@ -243,6 +251,46 @@ def test_target_in_fov_geometry():
     assert not target_in_fov(state, 0, 0, cfg)          # behind
     place(state, [[5.0, 5.0]], [0.0], [[9.5, 5.0]])
     assert not target_in_fov(state, 0, 0, cfg)          # beyond r_s
+
+
+# (heading, sensor-relative point, inside?) for r_s = 4 and a 90 degree
+# sector, whose half-angle edges (1, +-1) have exactly representable bearings.
+SECTOR_CASES = [
+    (0.0, (2.0, 0.0), True),
+    (0.0, (4.0, 0.0), True),                  # on the range edge
+    (0.0, (4.0 + 1e-6, 0.0), False),          # just beyond it
+    (0.0, (1.0, 1.0), True),                  # on the left half-angle edge
+    (0.0, (1.0, -1.0), True),                 # on the right one
+    (0.0, (1.0, 1.0 + 1e-6), False),          # just outside each edge
+    (0.0, (1.0, -1.0 - 1e-6), False),
+    (0.0, (-2.0, 0.0), False),                # behind
+    (math.pi, (-2.0, 0.0), True),             # ahead once turned around
+    (math.pi, (2.0, 0.0), False),
+    (0.0, (0.0, 0.0), True),                  # at the agent itself
+    (math.pi, (0.0, 0.0), True),
+]
+
+
+def test_one_sector_rule_for_every_caller():
+    cfg = cfg_quiet(phi_c_deg=90.0)
+    assert cfg.half_angle == math.pi / 4 and cfg.r_s == 4.0
+    cmap = cfg.cov_map()
+    state = make_state(cfg)
+    for heading, (x, y), inside in SECTOR_CASES:
+        place(state, [[10.0, 10.0]], [heading], [[10.0 + x, 10.0 + y]])
+        polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
+        fov = SectorFov(cfg.r_s, cfg.half_angle, heading)
+        dets = sense_targets(state, 0, cfg)
+        got = (polar is not None, contains(fov, (x, y)),
+               target_in_fov(state, 0, 0, cfg), len(dets) == 1)
+        assert got == (inside,) * 4, (heading, x, y, got)
+        if inside:
+            # Noise-free, the detection is the true point, with the
+            # covariance the map gives at the helper's (r, bearing).
+            r, bearing = polar
+            assert dets[0][1].mean.tolist() == [x, y]
+            var = max(cmap.eta(r, bearing), cmap.eta_floor)
+            assert dets[0][1].cov.tolist() == [[var, 0.0], [0.0, var]]
 
 
 def test_sense_targets_noise_free_measurement():
