@@ -8,14 +8,23 @@ preset (calibration-table sensing), the odometry-noise path (sim-2d with
 ``r_dp = 1e-3 I``, which diffuses every deposit) and correlated odometry
 noise.
 
-A change that is meant to alter the simulation re-records the digests with
+A change that is meant to alter the simulation re-records the digests (both
+tables below) with
 
     PYTHONPATH=src python tests/test_replay.py
 
 and says why in CHANGES.md.
+
+``FILE_GOLDEN`` extends the contract to the files a run writes: the
+telemetry rows (waypoints as printed, so a signed zero shows as ``-0``) and
+the PGM map dumps, for three cases that between them cover the pheromone
+map, a baseline explorer and calibration-table sensing.
 """
 
+import csv
 import hashlib
+import io
+import os
 
 import pytest
 
@@ -63,6 +72,12 @@ GOLDEN = {
     "levy/correlated-odometry": ("37f1ade69b66a5bd", "8860aab6f3d98423"),
 }
 
+FILE_GOLDEN = {
+    "pheromone/greedy-distributed": ("0afa925e9f4076e3", "0b52ced8693a7a40"),
+    "levy/auction": ("0116d1b771373203", "5881e03dee08bf8f"),
+    "hardware-table": ("73a9da4c71cf548d", "76e2e1fa82fb498d"),
+}
+
 
 def digest(m) -> str:
     payload = "|".join([
@@ -86,6 +101,38 @@ def test_golden_replay(name):
     assert run_case(name) == GOLDEN[name]
 
 
+def file_digest(name, seed, maps_dir) -> str:
+    """Digest of one run's telemetry rows and every PGM it dumps."""
+    make_cfg, search, assign, steps = CASES[name]
+    os.makedirs(maps_dir)
+    telemetry = io.StringIO()
+    simulate_run(make_cfg(), search, assign, steps, seed,
+                 stop_when_tracked=False,
+                 telemetry_writer=csv.writer(telemetry),
+                 dump_maps_dir=str(maps_dir))
+    h = hashlib.sha256(telemetry.getvalue().encode())
+    for fname in sorted(os.listdir(maps_dir)):
+        h.update(fname.encode())
+        with open(os.path.join(maps_dir, fname), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()[:16]
+
+
+def run_file_case(name, tmp_dir):
+    return tuple(file_digest(name, seed, os.path.join(tmp_dir, str(seed)))
+                 for seed in SEEDS)
+
+
+@pytest.mark.parametrize("name", sorted(FILE_GOLDEN))
+def test_golden_files(name, tmp_path):
+    assert run_file_case(name, str(tmp_path)) == FILE_GOLDEN[name]
+
+
 if __name__ == "__main__":
+    import tempfile
     for name in CASES:
         print(f"    {name!r}: {run_case(name)!r},")
+    print("FILE_GOLDEN:")
+    for name in FILE_GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {run_file_case(name, tmp)!r},")
