@@ -39,7 +39,7 @@ def main():
     fov = SectorFov(cfg.r_s, cfg.half_angle)
     cmap = cfg.cov_map()
 
-    table = synthetic_calibration_table(cmap, fov, dr=1.0, dphi_deg=10.0)
+    table = synthetic_calibration_table(cmap, fov)
     path = os.path.join(out, "camera_calibration.csv")
     save_calibration_csv(table, path)
     print(f"characterized {len(table.points)} grid points "

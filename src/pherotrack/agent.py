@@ -4,25 +4,31 @@ Each step an agent emits its pre-update lists, folds this step's detections
 and received packets into its target and pheromone storage, negotiates a
 target, and produces a bounded unicycle control toward either the
 exploitation waypoint (target chosen) or the exploration waypoint (searching).
+All brains of a run share one :class:`AgentConfig`; a brain holds only its
+id, its random stream, its explorer and its own state.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import pheromone as ph
 from .baselines import local_greedy_select
 from .estimation import GaussianEstimate, add2, add4, entropy, scaled_eye
-from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint, contains,
-                      rot2, wrap_angle)
+from .sensing import (AnalyticCovMap, CalibrationTable, SectorFov,
+                      best_viewpoint, contains, rot2, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
                        select_target, update_storage)
 
 MISS_BUMP = scaled_eye(1.0)   # added to records a miss contradicts
+# PD gains: waypoint distance to speed, bearing and its change to turn rate.
+KP_R = 0.5
+KP_THETA = 1.0
+KD_THETA = 0.2
 
 
 @dataclass
@@ -49,28 +55,19 @@ class BroadcastPacket:
     rel_pos: GaussianEstimate | None = None
 
 
-@dataclass
-class PdGains:
-    kp_r: float = 0.5
-    kp_theta: float = 1.0
-    kd_theta: float = 0.2
-
-
-def pd_control(waypoint_body, prev_face_body, gains: PdGains, u_max,
-               face_body=None) -> ControlInput:
+def pd_control(waypoint_body, prev_face_body, u_max,
+               face_body) -> ControlInput:
     """PD law toward a body-frame waypoint (agent at origin, heading +x).
 
     Turn rate is proportional to the bearing of the facing reference
-    (``face_body`` when given, else the waypoint) plus a damping term on its
-    change; forward speed is proportional to the waypoint distance, gated to
-    zero when the reference is behind the agent.  A parked exploiting agent
+    ``face_body`` plus a damping term on its change; forward speed is
+    proportional to the waypoint distance, gated to zero when the reference
+    is behind the agent.  A parked exploiting agent
     keeps its sensor on the target by facing the estimate rather than the
     near-zero waypoint.  Outputs are clamped to ``u_max``.
     """
     wx, wy = float(waypoint_body[0]), float(waypoint_body[1])
     dist = math.hypot(wx, wy)
-    if face_body is None:
-        face_body = waypoint_body
     fx, fy = float(face_body[0]), float(face_body[1])
     if math.hypot(fx, fy) < 1e-12:
         return ControlInput(0.0, 0.0)
@@ -82,9 +79,9 @@ def pd_control(waypoint_body, prev_face_body, gains: PdGains, u_max,
         d_bearing = wrap_angle(bearing - prev_bearing)
     # min(max(x, lo), hi) with x first is np.clip's rule for one float:
     # x wins ties (signed zeros) and NaN passes through.
-    u2 = gains.kp_theta * bearing + gains.kd_theta * d_bearing
+    u2 = KP_THETA * bearing + KD_THETA * d_bearing
     u2 = min(max(u2, -float(u_max[1])), float(u_max[1]))
-    u1 = gains.kp_r * dist * max(0.0, math.cos(bearing))
+    u1 = KP_R * dist * max(0.0, math.cos(bearing))
     u1 = min(max(u1, 0.0), float(u_max[0]))
     return ControlInput(u1, u2)
 
@@ -100,23 +97,33 @@ class Telemetry:
 
 
 @dataclass
-class AgentBrain:
-    """All per-agent state and configuration for the distributed loop."""
+class AgentConfig:
+    """What every brain of a run shares; the map grid's radius is r_c."""
 
-    agent_id: int
     fov: SectorFov
-    cov_map: AnalyticCovMap
+    cov_map: InitVar[AnalyticCovMap | CalibrationTable]
     tracker_cfg: TrackerConfig
     pher_cfg: ph.PheromoneConfig
     grid_geom: ph.GridGeometry
-    r_c: float
     u_max: np.ndarray
+    q_star: float
+    assign: str                 # greedy-distributed | local-greedy | auction
+    domain: tuple               # wall geometry, standing in for a wall sensor
+    viewpoint: np.ndarray = field(init=False)
+
+    def __post_init__(self, cov_map):
+        self.u_max = np.asarray(self.u_max, dtype=float).reshape(2)
+        self.viewpoint = best_viewpoint(cov_map, self.fov)
+
+
+@dataclass
+class AgentBrain:
+    """All per-agent state of the distributed loop."""
+
+    agent_id: int
+    cfg: AgentConfig
     rng: np.random.Generator
-    q_star: float = 0.5
-    gains: PdGains = field(default_factory=PdGains)
     explorer: Callable | None = None  # baseline search; None: pheromones
-    assign: str = "greedy-distributed"  # greedy-distributed | local-greedy
-    domain: tuple | None = None     # wall geometry, when known to the agent
 
     local_targets: LocalTargetList = field(default_factory=LocalTargetList)
     neighbor_targets: dict = field(default_factory=dict)
@@ -128,10 +135,8 @@ class AgentBrain:
     step_count: int = 0
 
     def __post_init__(self):
-        self.u_max = np.asarray(self.u_max, dtype=float).reshape(2)
         if self.own_pheromones is None:
             self.own_pheromones = ph.PheromoneList(self.agent_id)
-        self._viewpoint_sensor = best_viewpoint(self.cov_map, self.fov)
 
     @property
     def mode(self) -> str:
@@ -159,26 +164,25 @@ class AgentBrain:
         the maximum of every deposit's diffused region."""
         if deposits is None:
             deposits = self._all_pheromones()
-        radius = self.pher_cfg.footprint_radius
+        radius = self.cfg.pher_cfg.footprint_radius
+        geom = self.cfg.grid_geom
         if deposits.delta_only():
             return ph.delta_map(deposits.positions, deposits.weights, radius,
-                                self.grid_geom)
-        regions = [ph.diffuse_region(p, radius, self.grid_geom)
-                   for p in deposits.items()]
-        return ph.build_map(regions, self.grid_geom)
+                                geom)
+        regions = [ph.diffuse_region(p, c, w, radius, geom) for p, c, w in
+                   zip(deposits.positions, deposits.covs, deposits.weights)]
+        return ph.build_map(regions, geom)
 
     def _clamper(self, own_pos):
         """A function clamping a relative point (two floats) into the
-        physical domain, when known; it returns the point as it is otherwise.
+        physical domain.
 
         Target motion reflects at the walls but estimates drift freely, so an
         unclamped stale mean can sit outside the domain where no agent can
         ever reach or disprove it.
         """
-        if self.domain is None or own_pos is None:
-            return lambda rel: rel
         ox, oy = float(own_pos[0]), float(own_pos[1])
-        wx, wy = self.domain
+        wx, wy = self.cfg.domain
 
         def clamp(rel):
             gx = min(max(ox + rel[0], 0.0), wx)
@@ -187,21 +191,19 @@ class AgentBrain:
         return clamp
 
     def _in_domain(self, waypoint, own_pos):
-        if self.domain is None or own_pos is None:
-            return True
         gx, gy = own_pos[0] + waypoint[0], own_pos[1] + waypoint[1]
-        return 0.0 <= gx <= self.domain[0] and 0.0 <= gy <= self.domain[1]
+        wx, wy = self.cfg.domain
+        return 0.0 <= gx <= wx and 0.0 <= gy <= wy
 
     def _domain_mask(self, own_pos):
-        if self.domain is None or own_pos is None:
-            return None
-        coords = self.grid_geom.coords
+        coords = self.cfg.grid_geom.coords
         gx, gy = coords + own_pos[0], coords + own_pos[1]
-        in_x = (gx >= 0.0) & (gx <= self.domain[0])
-        in_y = (gy >= 0.0) & (gy <= self.domain[1])
+        in_x = (gx >= 0.0) & (gx <= self.cfg.domain[0])
+        in_y = (gy >= 0.0) & (gy <= self.cfg.domain[1])
         return in_x[:, None] & in_y[None, :]
 
-    def _pheromone_waypoint(self, shift, own_pos=None):
+    def _pheromone_waypoint(self, shift, own_pos):
+        cfg = self.cfg
         deposits = self._all_pheromones()
         if self.carried is not None and deposits.delta_only():
             # Cheap recompute test without materializing the raster.
@@ -209,17 +211,17 @@ class AgentBrain:
             norm = math.hypot(wp[0], wp[1])
             value = ph.pheromone_value_at(
                 wp, deposits.positions, deposits.weights,
-                self.pher_cfg.footprint_radius, self.grid_geom)
-            if (norm >= self.q_star and norm <= self.r_c
+                cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+            if (norm >= cfg.q_star and norm <= cfg.grid_geom.radius
                     and self._in_domain(wp, own_pos)
                     and value <= self.carried[1] + ph.ARGMIN_TOL):
                 self.carried = (wp, value)
                 return wp
 
         wp, w = ph.exploration_waypoint(self.pheromone_map(deposits),
-                                        self.carried, shift, self.r_c,
-                                        self.q_star, self.rng,
-                                        valid=self._domain_mask(own_pos))
+                                        self.carried, shift,
+                                        cfg.grid_geom.radius, cfg.q_star,
+                                        self.rng, self._domain_mask(own_pos))
         self.carried = (wp, w)
         return wp
 
@@ -239,11 +241,12 @@ class AgentBrain:
         reaches the prune threshold only after thousands of steps) and an
         agent can chase a phantom indefinitely.
         """
+        cfg = self.cfg
         det_ids = {tid for tid, _ in detections}
-        sector = SectorFov(max(self.fov.range_bl - 0.25, 1e-6),
-                           max(self.fov.half_angle - 0.05, 1e-6), heading)
+        sector = SectorFov(max(cfg.fov.range_bl - 0.25, 1e-6),
+                           max(cfg.fov.half_angle - 0.05, 1e-6), heading)
         clamp = self._clamper(own_pos)
-        lifetime = self.pher_cfg.max_list_length()
+        lifetime = cfg.pher_cfg.max_list_length()
         deposits = None   # gathered on first need
 
         def searched_since(mean, last_update):
@@ -251,7 +254,7 @@ class AgentBrain:
             if self.explorer is not None \
                     or self.step_count - last_update <= lifetime:
                 return False
-            if math.hypot(mean[0], mean[1]) > self.r_c:
+            if math.hypot(mean[0], mean[1]) > cfg.grid_geom.radius:
                 return False
             if deposits is None:
                 deposits = self._all_pheromones()
@@ -259,8 +262,8 @@ class AgentBrain:
                 return False
             value = ph.pheromone_value_at(
                 mean, deposits.positions, deposits.weights,
-                self.pher_cfg.footprint_radius, self.grid_geom)
-            return value > self.pher_cfg.w_floor
+                cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+            return value > cfg.pher_cfg.w_floor
 
         holdings = [(self.local_targets.records, None)]
         for nlist in self.neighbor_targets.values():
@@ -279,7 +282,7 @@ class AgentBrain:
     # -- the per-step loop --------------------------------------------------
 
     def step(self, detections, rx_packets, displacement, sigma_dp, heading,
-             forced_target=None, own_pos=None):
+             own_pos, forced_target=None):
         """Run one full agent iteration.
 
         Args:
@@ -290,21 +293,22 @@ class AgentBrain:
             sigma_dp: covariance of the displacement measurement.
             heading: sensed own heading in the local frame (dead-reckoned on
                 hardware, exact in the ideal simulation).
-            forced_target: externally imposed selection (used by the
-                centralized auction baseline); None means negotiate locally.
             own_pos: global position granted by the harness, used to keep
                 waypoints inside the physical domain (standing in for a wall
                 sensor) and handed to the baseline explorer.
+            forced_target: externally imposed selection (used by the
+                centralized auction baseline); None means negotiate locally.
 
         Returns:
             (BroadcastPacket, ControlInput, Telemetry)
         """
+        cfg = self.cfg
         packet = self.snapshot_packet()
 
         shift = -np.asarray(displacement, dtype=float).reshape(2)
         target_rx = [(p.sender, p.targets, p.rel_pos) for p in rx_packets]
         update_storage(self.local_targets, self.neighbor_targets, detections,
-                       target_rx, shift, sigma_dp, self.tracker_cfg,
+                       target_rx, shift, sigma_dp, cfg.tracker_cfg,
                        step=self.step_count)
 
         self._apply_negative_info(detections, heading, own_pos)
@@ -316,12 +320,12 @@ class AgentBrain:
                 for p in rx_packets
             ]
             ph.update_pheromones(self.own_pheromones, self.neighbor_pheromones,
-                                 pher_rx, shift, sigma_dp, self.pher_cfg)
+                                 pher_rx, shift, sigma_dp, cfg.pher_cfg)
 
         if forced_target is not None:
             k_star = int(forced_target)
-        elif self.assign == "local-greedy":
-            sector = SectorFov(self.fov.range_bl, self.fov.half_angle, heading)
+        elif cfg.assign == "local-greedy":
+            sector = SectorFov(cfg.fov.range_bl, cfg.fov.half_angle, heading)
             k_star = local_greedy_select(
                 self.local_targets, lambda mean: contains(sector, mean))
         else:
@@ -346,7 +350,7 @@ class AgentBrain:
             # turns, or chasing it becomes a limit cycle.
             goal = np.asarray(self._clamper(own_pos)(est.mean.tolist()))
             d = math.hypot(goal[0], goal[1])
-            r_star = math.hypot(*self._viewpoint_sensor)
+            r_star = math.hypot(*cfg.viewpoint)
             if d <= r_star:
                 # Already closer than the best viewpoint: the target is well
                 # inside the sector's range, so hold position and keep facing
@@ -356,7 +360,7 @@ class AgentBrain:
                 waypoint = np.zeros(2)
             else:
                 los = math.atan2(goal[1], goal[0]) if d > 1e-9 else heading
-                viewpoint = rot2(los) @ self._viewpoint_sensor
+                viewpoint = rot2(los) @ cfg.viewpoint
                 waypoint = goal - viewpoint
             face = goal
             self.carried = None
@@ -371,7 +375,7 @@ class AgentBrain:
         waypoint_body = to_body @ waypoint
         face_body = to_body @ face
         control = pd_control(waypoint_body, self.prev_waypoint_body,
-                             self.gains, self.u_max, face_body=face_body)
+                             cfg.u_max, face_body)
         self.prev_waypoint_body = face_body
 
         telemetry = Telemetry(k_star, self.mode, np.asarray(waypoint, float),

@@ -5,7 +5,7 @@ anti-flocking search (the harness wraps both searches as explorers).
 These deliberately get capabilities the proposed stack does not have (the
 auction oracle sees every agent's table; anti-flocking gets global positions
 and a shared visited map).  The Levy walker goes the other way: it never
-touches pheromone state.
+touches pheromone state.  Parameters no run varies are module constants.
 """
 
 from __future__ import annotations
@@ -19,66 +19,53 @@ from scipy.signal import fftconvolve
 
 from .estimation import add4, flat_entropy
 
+LEVY_MU = 1.5                # power-law tail exponent of the leg length
+LEVY_STEP_MIN = 1.0          # shortest leg (bl)
+AUCTION_EPSILON = 0.01       # final bid increment
+AUCTION_MAX_ROUNDS = 100_000
+VISITED_CELL = 1.0           # side of a visited-map cell (bl)
+
 
 class NoFeasibleAssignmentError(ValueError):
     """A bidder in the auction has no finite-value object to bid on."""
 
 
-@dataclass
-class LevyConfig:
-    mu: float = 1.5            # power-law tail exponent
-    step_min: float = 1.0
-    step_max: float = 42.5     # default: the 30x30 domain diagonal
+def levy_step_length(step_max: float, rng) -> float:
+    """Draw from a Pareto law truncated to [LEVY_STEP_MIN, step_max].
 
-    def __post_init__(self):
-        if not (1.0 < self.mu <= 3.0):
-            raise ValueError("tail exponent must be in (1, 3]")
-        if not (0 < self.step_min < self.step_max):
-            raise ValueError("need 0 < step_min < step_max")
-
-
-def levy_step_length(cfg: LevyConfig, rng) -> float:
-    """Draw from a Pareto law truncated to [step_min, step_max].
-
-    Inverse-CDF sampling of p(L) ~ L^-mu on the truncated support.
+    Inverse-CDF sampling of p(L) ~ L^-LEVY_MU on the truncated support.
     """
-    a = cfg.mu - 1.0
-    lo = cfg.step_min ** -a
-    hi = cfg.step_max ** -a
+    a = LEVY_MU - 1.0
+    lo = LEVY_STEP_MIN ** -a
+    hi = step_max ** -a
     u = rng.random()
     return (lo - u * (lo - hi)) ** (-1.0 / a)
 
 
-def levy_waypoint(carried, shift, q_star: float, cfg: LevyConfig, rng,
-                  own_pos=None, domain=None):
+def levy_waypoint(carried, q_star: float, step_max: float, rng, own_pos,
+                  domain):
     """Levy-walk exploration waypoint in the local frame.
 
-    The carried waypoint shifts with the agent and is replaced, once the
-    agent gets within ``q_star`` of it, by a fresh leg with Pareto length and
-    uniform direction.  When the harness supplies the true pose and domain,
-    the leg endpoint is clamped into the domain (a carried endpoint that
-    odometry drift has pushed through a wall triggers a redraw instead).
+    The carried waypoint (the current leg's endpoint relative to the agent
+    at ``own_pos``) is kept until the agent gets within ``q_star`` of it,
+    then replaced by a fresh leg with Pareto length and uniform direction,
+    its endpoint clamped into the domain.  A carried endpoint that odometry
+    drift has pushed through a wall triggers a redraw instead.
     """
-    shift = np.asarray(shift, dtype=float).reshape(2)
     if carried is not None:
-        wp = carried + shift
-        inside = True
-        if own_pos is not None and domain is not None:
-            # Odometry drift can walk the carried endpoint through a wall,
-            # where it becomes unreachable; redraw instead of pushing on it.
-            tgt = np.asarray(own_pos, dtype=float) + wp
-            inside = (0.0 <= tgt[0] <= domain[0] and 0.0 <= tgt[1] <= domain[1])
-        if inside and math.hypot(wp[0], wp[1]) >= q_star:
-            return wp
-    length = levy_step_length(cfg, rng)
+        # Odometry drift can walk the carried endpoint through a wall,
+        # where it becomes unreachable; redraw instead of pushing on it.
+        tgt = np.asarray(own_pos, dtype=float) + carried
+        inside = (0.0 <= tgt[0] <= domain[0] and 0.0 <= tgt[1] <= domain[1])
+        if inside and math.hypot(carried[0], carried[1]) >= q_star:
+            return carried
+    length = levy_step_length(step_max, rng)
     angle = rng.uniform(0.0, 2.0 * np.pi)
     wp = length * np.array([math.cos(angle), math.sin(angle)])
-    if own_pos is not None and domain is not None:
-        target = np.asarray(own_pos, dtype=float) + wp
-        target[0] = np.clip(target[0], 0.0, domain[0])
-        target[1] = np.clip(target[1], 0.0, domain[1])
-        wp = target - own_pos
-    return wp
+    target = np.asarray(own_pos, dtype=float) + wp
+    target[0] = np.clip(target[0], 0.0, domain[0])
+    target[1] = np.clip(target[1], 0.0, domain[1])
+    return target - own_pos
 
 
 def local_greedy_select(local, fov_contains) -> int:
@@ -98,13 +85,7 @@ def local_greedy_select(local, fov_contains) -> int:
     return best[1] if best else 0
 
 
-@dataclass
-class AuctionConfig:
-    epsilon: float = 0.01
-    max_rounds: int = 100_000
-
-
-def auction_assign(costs, cfg: AuctionConfig | None = None) -> dict:
+def auction_assign(costs) -> dict:
     """Bertsekas auction over an agents x targets cost table.
 
     Missing pairs carry +inf cost.  Bidding runs on the smaller side (targets
@@ -115,15 +96,14 @@ def auction_assign(costs, cfg: AuctionConfig | None = None) -> dict:
 
     Returns a dict agent_index -> target_index.
     """
-    cfg = cfg or AuctionConfig()
     costs = np.asarray(costs, dtype=float)
     n_agents, n_targets = costs.shape
     values = np.where(np.isfinite(costs), -costs, -np.inf)
 
     if n_targets <= n_agents:
-        pairing = _auction_core(values.T, cfg)       # target bids for agents
+        pairing = _auction_core(values.T)            # target bids for agents
         return {agent: tgt for tgt, agent in pairing.items()}
-    pairing = _auction_core(values, cfg)             # agent bids for targets
+    pairing = _auction_core(values)                  # agent bids for targets
     return dict(pairing)
 
 
@@ -144,7 +124,7 @@ def _pad_square(values):
     return np.vstack([values, pad])
 
 
-def _auction_core(values, cfg: AuctionConfig) -> dict:
+def _auction_core(values) -> dict:
     """Forward auction with epsilon scaling.
 
     Every row (bidder) ends up with a distinct column.  Bidding runs in
@@ -164,11 +144,11 @@ def _auction_core(values, cfg: AuctionConfig) -> dict:
     lock_bid = value_range + 1.0
 
     schedule = []
-    eps = max(cfg.epsilon, value_range / 2.0)
-    while eps > cfg.epsilon:
+    eps = max(AUCTION_EPSILON, value_range / 2.0)
+    while eps > AUCTION_EPSILON:
         schedule.append(eps)
         eps /= 8.0
-    schedule.append(cfg.epsilon)
+    schedule.append(AUCTION_EPSILON)
 
     prices = np.zeros(n_objects)
     rounds = 0
@@ -183,7 +163,7 @@ def _auction_core(values, cfg: AuctionConfig) -> dict:
         ceiling = prices.max() + (n_bidders + 2) * (lock_bid + eps + 1.0)
         while unassigned:
             rounds += 1
-            if rounds > cfg.max_rounds:
+            if rounds > AUCTION_MAX_ROUNDS:
                 raise RuntimeError("auction failed to terminate")
             if prices.max() > ceiling:
                 raise NoFeasibleAssignmentError(
@@ -279,7 +259,7 @@ def _team_auction(brains, known, prev):
     out = {agent: tid for tid, agent in sticky.items()}
     if free_cols and free_agents:
         sub = costs[np.ix_(free_agents, free_cols)]
-        pairing = auction_assign(sub, AuctionConfig())
+        pairing = auction_assign(sub)
         for a, ki in pairing.items():
             out[free_agents[a]] = kept_ids[free_cols[ki]]
     return out
@@ -290,14 +270,13 @@ class VisitedMap:
     """Shared global visited-cell map for the anti-flocking baseline."""
 
     domain: tuple
-    cell_size: float = 1.0
 
     def __post_init__(self):
-        self.nx = max(1, int(math.ceil(self.domain[0] / self.cell_size)))
-        self.ny = max(1, int(math.ceil(self.domain[1] / self.cell_size)))
+        self.nx = max(1, int(math.ceil(self.domain[0] / VISITED_CELL)))
+        self.ny = max(1, int(math.ceil(self.domain[1] / VISITED_CELL)))
         self.visited = np.zeros((self.nx, self.ny), dtype=bool)
-        self.xs = (np.arange(self.nx) + 0.5) * self.cell_size
-        self.ys = (np.arange(self.ny) + 0.5) * self.cell_size
+        self.xs = (np.arange(self.nx) + 0.5) * VISITED_CELL
+        self.ys = (np.arange(self.ny) + 0.5) * VISITED_CELL
 
     def mark_seen(self, pos, radius):
         """Mark every cell center within ``radius`` of ``pos`` as visited."""
@@ -309,13 +288,12 @@ class VisitedMap:
         return np.array([self.xs[i], self.ys[j]])
 
     def is_visited_at(self, pos):
-        i = int(np.clip(pos[0] / self.cell_size, 0, self.nx - 1))
-        j = int(np.clip(pos[1] / self.cell_size, 0, self.ny - 1))
+        i = int(np.clip(pos[0] / VISITED_CELL, 0, self.nx - 1))
+        j = int(np.clip(pos[1] / VISITED_CELL, 0, self.ny - 1))
         return bool(self.visited[i, j])
 
 
-def antiflocking_waypoint(vmap: VisitedMap, own_pos, rng, gain_radius=4.0,
-                          gain_weight=1.0):
+def antiflocking_waypoint(vmap: VisitedMap, own_pos, rng, gain_radius=4.0):
     """Globally informed exploration waypoint.
 
     Scores every unvisited cell by the unexplored area around it minus the
@@ -330,15 +308,15 @@ def antiflocking_waypoint(vmap: VisitedMap, own_pos, rng, gain_radius=4.0,
         j = rng.integers(vmap.ny)
         return vmap.cell_center(i, j) - own_pos
 
-    half = max(1, int(math.ceil(gain_radius / vmap.cell_size)))
-    ax = np.arange(-half, half + 1) * vmap.cell_size
+    half = max(1, int(math.ceil(gain_radius / VISITED_CELL)))
+    ax = np.arange(-half, half + 1) * VISITED_CELL
     kern = (ax[:, None] ** 2 + ax[None, :] ** 2) <= gain_radius ** 2
     gain = fftconvolve(unvisited.astype(float), kern.astype(float), mode="same")
 
     dx = vmap.xs[:, None] - own_pos[0]
     dy = vmap.ys[None, :] - own_pos[1]
     dist = np.sqrt(dx ** 2 + dy ** 2)
-    score = np.where(unvisited, gain_weight * gain - dist, -np.inf)
+    score = np.where(unvisited, gain - dist, -np.inf)
     best = score.max()
     ties = np.argwhere(score >= best - 1e-9)
     if len(ties) > 1:

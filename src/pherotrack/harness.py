@@ -1,11 +1,12 @@
 """Monte-Carlo runner, metrics, and CSV emission.
 
-Builds one brain per agent (Levy and anti-flocking as explorers), steps them
-with the ground-truth world in seeded episodes, and scores them with the two
-harness-side metrics: the mean best-agent estimation error (the system
-objective) and the time-to-track predicate (every target simultaneously
-selected by some agent and inside that agent's true field of view; a world
-without targets never meets it, as vacuous success would look instant).
+Builds one brain per agent, all sharing one per-run configuration (Levy and
+anti-flocking as explorers), steps them with the ground-truth world in seeded
+episodes, and scores them with the two harness-side metrics: the mean
+best-agent estimation error (the system objective) and the time-to-track
+predicate (every target simultaneously selected by some agent and inside that
+agent's true field of view; a world without targets never meets it, as vacuous
+success would look instant).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import world as wd
-from .agent import AgentBrain
-from .baselines import (AuctionOracle, LevyConfig, VisitedMap,
-                        antiflocking_waypoint, levy_waypoint)
+from .agent import AgentBrain, AgentConfig
+from .baselines import (AuctionOracle, VisitedMap, antiflocking_waypoint,
+                        levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
 from .tracking import TrackerConfig, combined_estimate
@@ -93,12 +94,11 @@ def objective_H(target_ids, true_rel, estimates, n_agents, domain_diag):
     return total / n_agents
 
 
-def _cov_at_fn(cfg: wd.WorldConfig):
+def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
     """Polar-to-covariance callable plus the viewpoint source for brains."""
     if cfg.calibration_csv is None:
         cmap = cfg.cov_map()
         return None, cmap
-    fov = SectorFov(cfg.r_s, cfg.half_angle)
     if cfg.calibration_csv:
         table = load_calibration_csv(cfg.calibration_csv)
     else:
@@ -117,14 +117,14 @@ class LevyExplorer:
 
     def __init__(self, cfg: wd.WorldConfig, rng):
         self.cfg = cfg
-        self.levy = LevyConfig(step_max=max(cfg.domain_diagonal(), 2.0))
+        self.step_max = max(cfg.domain_diagonal(), 2.0)
         self.rng = rng
         self.endpoint = None
 
     def __call__(self, shift, own_pos):
         carried = None if self.endpoint is None else self.endpoint - own_pos
-        wp = levy_waypoint(carried, np.zeros(2), self.cfg.q_star, self.levy,
-                           self.rng, own_pos=own_pos, domain=self.cfg.domain)
+        wp = levy_waypoint(carried, self.cfg.q_star, self.step_max, self.rng,
+                           own_pos, self.cfg.domain)
         self.endpoint = own_pos + wp
         return wp
 
@@ -153,14 +153,23 @@ class AntiflockingExplorer:
 
 
 def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
-    """Brains, detection covariance callable, and visited map to mark."""
-    cov_fn, viewpoint_source = _cov_at_fn(cfg)
-    tracker_cfg = TrackerConfig(cfg.q_bar, cfg.sigma_bar,
-                                motion_var=float(cfg.u_max[0]) ** 2)
-    pher_cfg = PheromoneConfig(cfg.w_init, cfg.w_decay, cfg.w_floor,
-                               footprint_radius=cfg.r_s,
-                               cell_size=cfg.cell_size)
-    geom = GridGeometry(cfg.r_c, cfg.cell_size)
+    """Brains, detection covariance callable, and visited map to mark.  The
+    brains share one :class:`AgentConfig`, so its viewpoint is found once."""
+    fov = SectorFov(cfg.r_s, cfg.half_angle)
+    cov_fn, viewpoint_source = _cov_at_fn(cfg, fov)
+    agent_cfg = AgentConfig(
+        fov=fov,
+        cov_map=viewpoint_source,
+        tracker_cfg=TrackerConfig(cfg.q_bar, cfg.sigma_bar,
+                                  motion_var=float(cfg.u_max[0]) ** 2),
+        pher_cfg=PheromoneConfig(cfg.w_init, cfg.w_decay, cfg.w_floor,
+                                 footprint_radius=cfg.r_s),
+        grid_geom=GridGeometry(cfg.r_c, cfg.cell_size),
+        u_max=cfg.u_max,
+        q_star=cfg.q_star,
+        assign=assign,
+        domain=cfg.domain,
+    )
     vmap = VisitedMap(cfg.domain) if search == "antiflocking" else None
     brains = []
     for i in range(cfg.n_agents):
@@ -171,21 +180,7 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
             explorer = AntiflockingExplorer(cfg, vmap, rng)
         else:
             explorer = None
-        brains.append(AgentBrain(
-            agent_id=i + 1,
-            fov=SectorFov(cfg.r_s, cfg.half_angle),
-            cov_map=viewpoint_source,
-            tracker_cfg=tracker_cfg,
-            pher_cfg=pher_cfg,
-            grid_geom=geom,
-            r_c=cfg.r_c,
-            u_max=cfg.u_max,
-            rng=rng,
-            q_star=cfg.q_star,
-            explorer=explorer,
-            assign=assign,
-            domain=cfg.domain,
-        ))
+        brains.append(AgentBrain(i + 1, agent_cfg, rng, explorer))
     return brains, cov_fn, vmap
 
 
@@ -223,7 +218,7 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
             forced = None if oracle is None else oracle.assignment.get(i, 0)
             packet, u, telem = brains[i].step(
                 dets, rx[i], dp, sdp, state.agent_heading[i],
-                forced_target=forced, own_pos=state.agent_pos[i])
+                state.agent_pos[i], forced_target=forced)
             new_packets[i] = packet
             inputs.append(u)
             if telem.target_id > 0 and wd.target_in_fov(

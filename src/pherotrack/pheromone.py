@@ -28,19 +28,6 @@ _DELTA_COV_TOL = 1e-12
 ARGMIN_TOL = 1e-9
 
 
-@dataclass
-class Pheromone:
-    """A single decaying deposit."""
-
-    position: np.ndarray
-    cov: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(2)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-
-
 # Columns of a deposit row: position (x, y), covariance entries (c00, c01,
 # c10, c11) and weight.
 _ROW_WIDTH = 7
@@ -80,10 +67,6 @@ class PheromoneList:
         return not len(self.rows) \
             or np.abs(self.rows[:, 2:6]).max() <= _DELTA_COV_TOL
 
-    def items(self):
-        return [Pheromone(p, c, float(w))
-                for p, c, w in zip(self.positions, self.covs, self.weights)]
-
     def append(self, position, cov, weight):
         self.rows = np.vstack([self.rows, _row(position, cov, weight)])
 
@@ -103,7 +86,6 @@ class PheromoneConfig:
     w_decay: float = 0.16          # fractional decay per step
     w_floor: float = 0.1           # deposits at or below this are deleted
     footprint_radius: float = 4.0  # disk radius of a deposit's region (bl)
-    cell_size: float = 0.25
 
     def __post_init__(self):
         if not (0 < self.w_decay < 1):
@@ -238,9 +220,9 @@ def _decayed(rows, scale, growth, cfg: PheromoneConfig):
     return out.compress(out[:, _WEIGHT] > cfg.w_floor, axis=0)
 
 
-def diffuse_region(p: Pheromone, footprint_radius: float,
+def diffuse_region(position, cov, weight, footprint_radius: float,
                    geometry: GridGeometry) -> np.ndarray:
-    """Rasterize one deposit's diffused region.
+    """Rasterize the diffused region of one (position, cov, weight) deposit.
 
     The region is the disk of ``footprint_radius`` around the deposit,
     convolved with a Gaussian kernel of the deposit's covariance (truncated
@@ -250,21 +232,20 @@ def diffuse_region(p: Pheromone, footprint_radius: float,
     if footprint_radius <= 0:
         raise ValueError("footprint radius must be positive")
     xs, ys = geometry.centers()
-    dx = xs - p.position[0]
-    dy = ys - p.position[1]
+    dx = xs - position[0]
+    dy = ys - position[1]
     disk = (dx ** 2 + dy ** 2 <= footprint_radius ** 2).astype(float)
 
-    if np.abs(p.cov).max() <= _DELTA_COV_TOL:
-        return p.weight * disk
+    if np.abs(cov).max() <= _DELTA_COV_TOL:
+        return weight * disk
     if not disk.any():
         return np.zeros_like(disk)
 
-    sig_max = math.sqrt(max(np.linalg.eigvalsh(p.cov).max(), 0.0))
+    sig_max = math.sqrt(max(np.linalg.eigvalsh(cov).max(), 0.0))
     half = max(1, int(math.ceil(3.0 * sig_max / geometry.cell_size)))
     ax = np.arange(-half, half + 1) * geometry.cell_size
     kx, ky = np.meshgrid(ax, ax, indexing="ij")
-    cov = p.cov + EYE2 * 1e-12
-    inv = np.linalg.inv(cov)
+    inv = np.linalg.inv(cov + EYE2 * 1e-12)
     quad = inv[0, 0] * kx ** 2 + 2 * inv[0, 1] * kx * ky + inv[1, 1] * ky ** 2
     kernel = np.exp(-0.5 * quad)
     kernel[quad > 9.0] = 0.0  # truncate at 3 sigma (Mahalanobis)
@@ -272,7 +253,7 @@ def diffuse_region(p: Pheromone, footprint_radius: float,
     out = fftconvolve(disk, kernel, mode="same")
     peak = out.max()
     if peak > 0:
-        out *= p.weight / peak
+        out *= weight / peak
     np.clip(out, 0.0, None, out=out)
     return out
 

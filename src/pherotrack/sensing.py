@@ -146,12 +146,12 @@ def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
     return np.einsum("m,mij->ij", w, table.covs[idx]) / w.sum()
 
 
-def best_viewpoint(cov_source, fov: SectorFov, grid_res=(0.1, math.radians(1.0))):
+def best_viewpoint(cov_source, fov: SectorFov):
     """Sensor-frame point of minimum measurement uncertainty inside the FOV.
 
     Analytic maps have a closed-form optimum at (r_best, bearing 0); table
-    maps are scanned on a (range, bearing) grid.  Ties break toward smaller
-    range, then smaller absolute bearing, for deterministic replay.
+    maps are scanned on a grid of 0.1 bl by 1 degree.  Ties break toward
+    smaller range, then smaller absolute bearing, for deterministic replay.
     """
     if isinstance(cov_source, AnalyticCovMap):
         if cov_source.k1 > 0:
@@ -160,7 +160,7 @@ def best_viewpoint(cov_source, fov: SectorFov, grid_res=(0.1, math.radians(1.0))
             r = 0.0
         return np.array([r, 0.0])
 
-    dr, dphi = grid_res
+    dr, dphi = 0.1, math.radians(1.0)
     ranges = np.arange(0.0, fov.range_bl + 0.5 * dr, dr)
     ranges[-1] = min(ranges[-1], fov.range_bl)
     n_phi = int(math.ceil(fov.half_angle / dphi))
@@ -198,7 +198,7 @@ def save_calibration_csv(table: CalibrationTable, path):
             w.writerow([r, math.degrees(phi), c[0, 0], c[0, 1], c[1, 1]])
 
 
-def load_calibration_csv(path, n_neighbors=1, r_max=0.0) -> CalibrationTable:
+def load_calibration_csv(path, n_neighbors=1) -> CalibrationTable:
     """Load a calibration table written by :func:`save_calibration_csv`."""
     points, covs = [], []
     with open(path, newline="") as f:
@@ -208,23 +208,21 @@ def load_calibration_csv(path, n_neighbors=1, r_max=0.0) -> CalibrationTable:
             c12 = float(row["c12"])
             covs.append([[float(row["c11"]), c12], [c12, float(row["c22"])]])
     return CalibrationTable(np.array(points), np.array(covs),
-                            n_neighbors=n_neighbors, r_max=r_max)
+                            n_neighbors=n_neighbors)
 
 
-def synthetic_calibration_table(
-    cmap: AnalyticCovMap, fov: SectorFov, dr=1.0, dphi_deg=10.0,
-    r_min=1.5, n_neighbors=1,
-) -> CalibrationTable:
+def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov, dr=1.0,
+                                n_neighbors=1) -> CalibrationTable:
     """Sample the analytic map on a hardware-style calibration grid.
 
     Mirrors the pan/tilt characterization procedure (10 degree angular steps,
-    1 bl radial steps) so the table-based pipeline can be exercised without
-    hardware data.
+    ``dr`` = 1 bl radial steps from 1.5 bl) so the table-based pipeline can
+    be exercised without hardware data.
     """
-    dphi = math.radians(dphi_deg)
+    dphi = math.radians(10.0)
     n_phi = int(math.floor(fov.half_angle / dphi))
     points, covs = [], []
-    r = r_min
+    r = 1.5
     while r <= fov.range_bl + 1e-9:
         for k in range(-n_phi, n_phi + 1):
             phi = k * dphi

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -126,6 +127,9 @@ class WorldConfig:
             raise AssumptionError("counts and periods must be positive")
         if self.n_targets < 0:
             raise AssumptionError("target count must not be negative")
+        if self.calibration_csv and not os.path.isfile(self.calibration_csv):
+            raise AssumptionError(
+                f"calibration table {self.calibration_csv} does not exist")
 
     def to_json(self, path):
         d = asdict(self)

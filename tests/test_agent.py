@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from pherotrack import pheromone as ph
-from pherotrack.agent import AgentBrain, ControlInput, PdGains, pd_control
+from pherotrack.agent import (KD_THETA, KP_R, KP_THETA, AgentBrain,
+                              AgentConfig, ControlInput, pd_control)
 from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
@@ -19,24 +20,24 @@ U_MAX = (0.4, math.radians(15.0))
 
 
 def test_zero_reference_gives_zero_control():
-    u = pd_control([0.0, 0.0], None, PdGains(), U_MAX)
+    u = pd_control([0.0, 0.0], None, U_MAX, [0.0, 0.0])
     assert u.u1 == 0.0 and u.u2 == 0.0
 
 
 def test_straight_ahead_full_speed_no_turn():
-    u = pd_control([1.0, 0.0], None, PdGains(), U_MAX)
+    u = pd_control([1.0, 0.0], None, U_MAX, [1.0, 0.0])
     assert u.u2 == 0.0
     assert math.isclose(u.u1, 0.4)          # 0.5 * 1.0 clamped to u_max
 
 
 def test_sideways_waypoint_turns_at_rate_limit():
-    u = pd_control([0.0, 1.0], None, PdGains(), U_MAX)
+    u = pd_control([0.0, 1.0], None, U_MAX, [0.0, 1.0])
     assert math.isclose(u.u2, U_MAX[1])     # kp * pi/2 clamped
     assert math.isclose(u.u1, 0.0, abs_tol=1e-12)
 
 
 def test_waypoint_behind_stops_forward_motion():
-    u = pd_control([-1.0, 0.0], None, PdGains(), U_MAX)
+    u = pd_control([-1.0, 0.0], None, U_MAX, [-1.0, 0.0])
     assert u.u1 == 0.0
     assert abs(u.u2) == U_MAX[1]
 
@@ -44,39 +45,41 @@ def test_waypoint_behind_stops_forward_motion():
 def test_facing_reference_decoupled_from_waypoint():
     # Parked (zero waypoint) but facing a target off to the side: no forward
     # motion, but the agent turns toward the face reference.
-    u = pd_control([0.0, 0.0], None, PdGains(), U_MAX,
-                   face_body=[1.0, 1.0])
+    u = pd_control([0.0, 0.0], None, U_MAX, [1.0, 1.0])
     assert u.u1 == 0.0
     assert math.isclose(u.u2, U_MAX[1])
 
 
 def test_derivative_term_damps_turn():
-    gains = PdGains(kp_theta=1.0, kd_theta=0.5)
     wide = (1.0, math.pi)
-    bare = pd_control([1.0, 0.2], None, gains, wide)
+    bare = pd_control([1.0, 0.2], None, wide, [1.0, 0.2])
     # Reference swung from +0.4 rad to +0.2 rad: the derivative term opposes.
-    damped = pd_control([1.0, 0.2], [1.0, 0.4], gains, wide)
+    damped = pd_control([1.0, 0.2], [1.0, 0.4], wide, [1.0, 0.2])
     assert damped.u2 < bare.u2
 
 
 # -- the step loop -----------------------------------------------------------
 
 
-def make_brain(**kw):
+def make_cfg(**kw):
     base = dict(
-        agent_id=1,
         fov=SectorFov(4.0, math.radians(60.0)),
         cov_map=AnalyticCovMap(),
         tracker_cfg=TrackerConfig(0.01 * np.eye(2)),
         pher_cfg=PheromoneConfig(),
         grid_geom=GridGeometry(12.0, 0.25),
-        r_c=12.0,
         u_max=U_MAX,
-        rng=np.random.default_rng(0),
+        q_star=0.5,
+        assign="greedy-distributed",
         domain=(30.0, 30.0),
     )
     base.update(kw)
-    return AgentBrain(**base)
+    return AgentConfig(**base)
+
+
+def make_brain(agent_id=1, explorer=None, **kw):
+    return AgentBrain(agent_id, make_cfg(**kw), np.random.default_rng(0),
+                      explorer)
 
 
 def det(tid, mean, var):
@@ -177,7 +180,7 @@ def test_explorer_steers_instead_of_pheromones(monkeypatch):
         calls.append((shift.tolist(), own_pos.tolist()))
         return np.array([3.0, 4.0])
 
-    def no_pheromone_waypoint(self, shift, own_pos=None):
+    def no_pheromone_waypoint(self, shift, own_pos):
         raise AssertionError("a brain with an explorer steered by pheromones")
 
     monkeypatch.setattr(AgentBrain, "_pheromone_waypoint",
@@ -194,7 +197,7 @@ def test_explorer_steers_instead_of_pheromones(monkeypatch):
     # The explorer's brain keeps no pheromones and no carried waypoint.
     assert len(brain.own_pheromones) == 0 and brain.carried is None
     # Its control heads for the explorer's waypoint.
-    assert u == pd_control([3.0, 4.0], [3.0, 4.0], brain.gains, U_MAX)
+    assert u == pd_control([3.0, 4.0], [3.0, 4.0], U_MAX, [3.0, 4.0])
 
 
 def test_exploration_waypoint_stays_in_domain():
@@ -208,15 +211,15 @@ def test_exploration_waypoint_stays_in_domain():
         assert -0.26 <= goal[1] <= 30.26
 
 
-def _np_clip_pd_control(wp, prev, gains, u_max):
+def _np_clip_pd_control(wp, prev, u_max):
     """Reference: the PD law with np.clip, as the clamp was first written."""
     bearing = math.atan2(wp[1], wp[0])
     if prev is None or math.hypot(*prev) < 1e-12:
         d_bearing = 0.0
     else:
         d_bearing = wrap_angle(bearing - math.atan2(prev[1], prev[0]))
-    u2 = gains.kp_theta * bearing + gains.kd_theta * d_bearing
-    u1 = gains.kp_r * math.hypot(*wp) * max(0.0, math.cos(bearing))
+    u2 = KP_THETA * bearing + KD_THETA * d_bearing
+    u1 = KP_R * math.hypot(*wp) * max(0.0, math.cos(bearing))
     return (float(np.clip(u1, 0.0, u_max[0])),
             float(np.clip(u2, -u_max[1], u_max[1])))
 
@@ -227,14 +230,13 @@ def test_clamp_is_bit_identical_to_np_clip():
     cases = [rng.uniform(-6, 6, 2) for _ in range(2000)]
     cases += [np.array(v) for v in ((1e-9, 0.0), (-3.0, 0.0), (-3.0, -0.0),
                                     (0.0, 2.0), (2.0, -0.0))]
-    for gains in (PdGains(), PdGains(kp_r=-0.5), PdGains(kp_r=0.0)):
-        for k, wp in enumerate(cases):
-            prev = cases[k - 1] if k % 3 else None
-            got = pd_control(wp, prev, gains, u_max)
-            want = _np_clip_pd_control(wp, prev, gains, u_max)
-            for g, w in zip((got.u1, got.u2), want):
-                assert g == w and math.copysign(1.0, g) == \
-                    math.copysign(1.0, w), (wp, prev, gains)
+    for k, wp in enumerate(cases):
+        prev = cases[k - 1] if k % 3 else None
+        got = pd_control(wp, prev, u_max, wp)
+        want = _np_clip_pd_control(wp, prev, u_max)
+        for g, w in zip((got.u1, got.u2), want):
+            assert g == w and math.copysign(1.0, g) == \
+                math.copysign(1.0, w), (wp, prev)
 
 
 def test_broadcast_records_share_floats_but_never_mutations():
@@ -252,7 +254,7 @@ def test_broadcast_records_share_floats_but_never_mutations():
     for r in (a, b):
         update_storage(r.local_targets, r.neighbor_targets, [],
                        [(2, packet.targets, rel)], np.zeros(2),
-                       np.zeros((2, 2)), r.tracker_cfg)
+                       np.zeros((2, 2)), r.cfg.tracker_cfg)
     held_a = a.neighbor_targets[2].records[1]
     held_b = b.neighbor_targets[2].records[1]
     assert held_a is not held_b and held_a.cov is rec.cov
@@ -262,7 +264,7 @@ def test_broadcast_records_share_floats_but_never_mutations():
     a._apply_negative_info([], 0.0, np.array([15.0, 15.0]))
     assert held_a.cov[0] == 0.04 + 1.0
     update_storage(a.local_targets, a.neighbor_targets, [], [], np.zeros(2),
-                   np.zeros((2, 2)), a.tracker_cfg, step=1)
+                   np.zeros((2, 2)), a.cfg.tracker_cfg, step=1)
     assert held_a.cov[0] == 0.04 + 1.0 + 0.01
     for r in (rec, sent, held_b):
         assert r.cov == (0.04, 0.0, 0.0, 0.04)
@@ -272,33 +274,32 @@ def test_broadcast_records_share_floats_but_never_mutations():
 def _reference_negative_info(brain, local, neighbors, detections, heading,
                              own_pos):
     """Negative information as it was on array records (``.estimate``)."""
+    cfg = brain.cfg
     det_ids = {tid for tid, _ in detections}
-    sector = SectorFov(max(brain.fov.range_bl - 0.25, 1e-6),
-                       max(brain.fov.half_angle - 0.05, 1e-6), heading)
+    sector = SectorFov(max(cfg.fov.range_bl - 0.25, 1e-6),
+                       max(cfg.fov.half_angle - 0.05, 1e-6), heading)
     bump = 1.0 * np.eye(2)
-    lifetime = brain.pher_cfg.max_list_length()
+    lifetime = cfg.pher_cfg.max_list_length()
 
     def clamp_rel(rel):
-        if brain.domain is None or own_pos is None:
-            return np.asarray(rel, dtype=float)
         ox, oy = float(own_pos[0]), float(own_pos[1])
-        gx = min(max(ox + float(rel[0]), 0.0), brain.domain[0])
-        gy = min(max(oy + float(rel[1]), 0.0), brain.domain[1])
+        gx = min(max(ox + float(rel[0]), 0.0), cfg.domain[0])
+        gy = min(max(oy + float(rel[1]), 0.0), cfg.domain[1])
         return np.array((gx - ox, gy - oy))
 
     def searched_since(mean, last_update):
         if brain.explorer is not None \
                 or brain.step_count - last_update <= lifetime:
             return False
-        if math.hypot(mean[0], mean[1]) > brain.r_c:
+        if math.hypot(mean[0], mean[1]) > cfg.grid_geom.radius:
             return False
         deposits = brain._all_pheromones()
         if not len(deposits) or not deposits.delta_only():
             return False
         value = ph.pheromone_value_at(
             mean, deposits.positions, deposits.weights,
-            brain.pher_cfg.footprint_radius, brain.grid_geom)
-        return value > brain.pher_cfg.w_floor
+            cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+        return value > cfg.pher_cfg.w_floor
 
     holdings = [(local, None)]
     for nlist in neighbors.values():
@@ -327,9 +328,7 @@ def test_negative_info_bit_identical_to_array_records():
     bumped = searched = 0
     for trial in range(300):
         pool = []
-        domain = None if trial % 5 == 0 else (30.0, 30.0)
-        brain = make_brain(explorer=None if trial % 4 else levy_like,
-                           domain=domain)
+        brain = make_brain(explorer=None if trial % 4 else levy_like)
         brain.step_count = int(rng.integers(0, 120))
         # Deposits near the agent, so stale records can be "searched since".
         rows = np.zeros((int(rng.integers(0, 30)), 7))
@@ -355,6 +354,6 @@ def test_negative_info_bit_identical_to_array_records():
                       zip(new[0].records.values(), before))
         stale = [r for r in new[0].records.values()
                  if brain.step_count - r.last_update_step
-                 > brain.pher_cfg.max_list_length()]
+                 > brain.cfg.pher_cfg.max_list_length()]
         searched += bool(stale) and brain.explorer is None
     assert bumped > 50 and searched > 5

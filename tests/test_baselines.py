@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pherotrack.baselines import (AuctionConfig, LevyConfig,
+from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN,
                                   NoFeasibleAssignmentError, VisitedMap,
                                   antiflocking_waypoint, auction_assign,
                                   levy_step_length, levy_waypoint,
@@ -24,30 +24,25 @@ from pherotrack.tracking import LocalTargetList, TargetRecord
 # -- Levy walk ---------------------------------------------------------------
 
 
-def test_levy_config_validation():
-    with pytest.raises(ValueError):
-        LevyConfig(mu=1.0)
-    with pytest.raises(ValueError):
-        LevyConfig(mu=3.5)
-    with pytest.raises(ValueError):
-        LevyConfig(step_min=2.0, step_max=1.0)
+STEP_MAX = 42.5     # the 30x30 domain diagonal
+DOMAIN = (30.0, 30.0)
 
 
 def test_levy_step_lengths_in_bounds():
-    cfg = LevyConfig(mu=1.5, step_min=1.0, step_max=42.5)
     rng = np.random.default_rng(0)
-    draws = np.array([levy_step_length(cfg, rng) for _ in range(20_000)])
-    assert draws.min() >= cfg.step_min
-    assert draws.max() <= cfg.step_max
+    draws = np.array([levy_step_length(STEP_MAX, rng)
+                      for _ in range(20_000)])
+    assert draws.min() >= LEVY_STEP_MIN
+    assert draws.max() <= STEP_MAX
 
 
 def test_levy_step_distribution_matches_truncated_pareto():
     # Empirical CDF vs the closed-form truncated-Pareto CDF at a few probes.
-    cfg = LevyConfig(mu=1.5, step_min=1.0, step_max=42.5)
-    a = cfg.mu - 1.0
-    lo, hi = cfg.step_min ** -a, cfg.step_max ** -a
+    a = LEVY_MU - 1.0
+    lo, hi = LEVY_STEP_MIN ** -a, STEP_MAX ** -a
     rng = np.random.default_rng(1)
-    draws = np.array([levy_step_length(cfg, rng) for _ in range(50_000)])
+    draws = np.array([levy_step_length(STEP_MAX, rng)
+                      for _ in range(50_000)])
     for x in (1.5, 2.0, 5.0, 10.0, 30.0):
         want = (lo - x ** -a) / (lo - hi)
         got = (draws <= x).mean()
@@ -55,45 +50,46 @@ def test_levy_step_distribution_matches_truncated_pareto():
 
 
 def test_levy_carried_waypoint_shifts_until_reached():
-    cfg = LevyConfig()
+    # The leg endpoint stays put in the world while the agent walks to it:
+    # the carried waypoint, taken relative to the agent, shifts each step.
     rng = np.random.default_rng(2)
-    wp = levy_waypoint(np.array([3.0, 0.0]), [-1.0, 0.0], 0.5, cfg, rng)
-    assert np.allclose(wp, [2.0, 0.0])
+    end = np.array([17.0, 15.0])
+    for x in (15.0, 15.5, 16.0, 16.4):
+        own = np.array([x, 15.0])
+        carried = end - own
+        assert levy_waypoint(carried, 0.5, STEP_MAX, rng, own, DOMAIN) \
+            is carried
     # Within q_star: redraw.
-    wp2 = levy_waypoint(np.array([0.4, 0.0]), [0.0, 0.0], 0.5, cfg, rng)
-    assert not np.allclose(wp2, [0.4, 0.0])
-    assert 1.0 <= math.hypot(wp2[0], wp2[1]) <= cfg.step_max
+    own = np.array([16.6, 15.0])
+    wp = levy_waypoint(end - own, 0.5, STEP_MAX, rng, own, DOMAIN)
+    assert not np.allclose(wp, end - own)
+    assert LEVY_STEP_MIN <= math.hypot(wp[0], wp[1]) <= STEP_MAX
 
 
 def test_levy_endpoint_clamped_into_domain():
-    cfg = LevyConfig()
     rng = np.random.default_rng(3)
-    domain = (30.0, 30.0)
     own = np.array([1.0, 29.0])
     for _ in range(500):
-        wp = levy_waypoint(None, np.zeros(2), 0.5, cfg, rng,
-                           own_pos=own, domain=domain)
+        wp = levy_waypoint(None, 0.5, STEP_MAX, rng, own, DOMAIN)
         end = own + wp
-        assert 0.0 <= end[0] <= domain[0]
-        assert 0.0 <= end[1] <= domain[1]
+        assert 0.0 <= end[0] <= DOMAIN[0]
+        assert 0.0 <= end[1] <= DOMAIN[1]
 
 
 def test_levy_carried_endpoint_outside_domain_triggers_redraw():
-    cfg = LevyConfig()
     rng = np.random.default_rng(4)
     own = np.array([0.5, 0.5])
     carried = np.array([-2.0, 0.0])      # endpoint at (-1.5, 0.5): outside
-    wp = levy_waypoint(carried, np.zeros(2), 0.5, cfg, rng,
-                       own_pos=own, domain=(30.0, 30.0))
+    wp = levy_waypoint(carried, 0.5, STEP_MAX, rng, own, DOMAIN)
     end = own + wp
     assert 0.0 <= end[0] <= 30.0 and 0.0 <= end[1] <= 30.0
 
 
 def test_levy_walker_is_isolated_from_pheromone_state():
     # The walker must not peek at any coverage map: its only inputs are its
-    # own carried leg, the frame shift, and the wall geometry.
+    # own carried leg, its parameters, and the wall geometry.
     params = inspect.signature(levy_waypoint).parameters
-    assert set(params) == {"carried", "shift", "q_star", "cfg", "rng",
+    assert set(params) == {"carried", "q_star", "step_max", "rng",
                            "own_pos", "domain"}
     import pherotrack.baselines as baselines
     assert "pheromone" not in inspect.getsource(baselines.levy_waypoint)
@@ -186,7 +182,7 @@ def test_auction_sparse_feasible_tables_match_oracle():
 
 
 def test_visited_map_marking():
-    vmap = VisitedMap((10.0, 6.0), cell_size=1.0)
+    vmap = VisitedMap((10.0, 6.0))
     assert not vmap.visited.any()
     vmap.mark_seen([2.0, 2.0], 1.1)
     assert vmap.is_visited_at([2.0, 2.0])
@@ -196,7 +192,7 @@ def test_visited_map_marking():
 
 
 def test_antiflocking_prefers_high_gain_low_distance():
-    vmap = VisitedMap((20.0, 20.0), cell_size=1.0)
+    vmap = VisitedMap((20.0, 20.0))
     # Visit everything except two pockets: a large far one and a tiny near one.
     vmap.visited[:] = True
     vmap.visited[15:20, 15:20] = False           # big pocket, far corner
@@ -209,7 +205,7 @@ def test_antiflocking_prefers_high_gain_low_distance():
 
 
 def test_antiflocking_fully_visited_falls_back_to_random_cell():
-    vmap = VisitedMap((5.0, 5.0), cell_size=1.0)
+    vmap = VisitedMap((5.0, 5.0))
     vmap.visited[:] = True
     rng = np.random.default_rng(8)
     wp = antiflocking_waypoint(vmap, [0.0, 0.0], rng)
@@ -218,7 +214,7 @@ def test_antiflocking_fully_visited_falls_back_to_random_cell():
 
 
 def test_antiflocking_deterministic_tie_break():
-    vmap = VisitedMap((6.0, 6.0), cell_size=1.0)
+    vmap = VisitedMap((6.0, 6.0))
     rng = np.random.default_rng(9)
     wps = [antiflocking_waypoint(vmap.__class__((6.0, 6.0)), [3.0, 3.0], rng)
            for _ in range(5)]

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import json
 import math
 import os
 
@@ -237,6 +238,29 @@ def test_hardware_table_preset_runs():
     assert len(m.h_series) >= 1
 
 
+def test_brains_share_one_agent_config(monkeypatch):
+    # The run's constants, the best viewpoint among them, are built once per
+    # run: on a calibration table the viewpoint is a scan of the table.
+    import pherotrack.agent as agent
+    from pherotrack.harness import build_brains
+
+    scans = []
+    real_scan = agent.best_viewpoint
+
+    def counted(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(agent, "best_viewpoint", counted)
+    for search in ("pheromone", "levy", "antiflocking"):
+        brains, _, _ = build_brains(hardware_table_preset(), search,
+                                    "local-greedy")
+        assert len(brains) == 2
+        assert all(b.cfg is brains[0].cfg for b in brains)
+        assert brains[0].cfg.assign == "local-greedy"
+    assert len(scans) == 3
+
+
 def test_calibration_csv_config_roundtrip(tmp_path):
     import pherotrack.sensing as sensing
     table = sensing.synthetic_calibration_table(
@@ -288,7 +312,8 @@ def test_map_dump_is_the_map_the_agent_steers_by(tmp_path, monkeypatch):
                                shallow=False)
             deposits = b._all_pheromones()
             stamped = delta_map(deposits.positions, deposits.weights,
-                                b.pher_cfg.footprint_radius, b.grid_geom)
+                                b.cfg.pher_cfg.footprint_radius,
+                                b.cfg.grid_geom)
             stamped.to_pgm(tmp_path / "stamped.pgm")
             # Noise-free, the dump is the stamped map it always was.
             assert filecmp.cmp(tmp_path / sub / name,
@@ -363,6 +388,17 @@ def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     err = cli_usage_error(capsys, "--config", str(tmp_path / "no.json"),
                           "--out", str(tmp_path / "out"))
     assert "no.json" in err
+
+
+def test_cli_missing_calibration_csv_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"calibration_csv": str(tmp_path / "no.csv")}))
+    err = cli_usage_error(capsys, "--config", str(path),
+                          "--out", str(tmp_path / "out"))
+    assert "no.csv" in err and "does not exist" in err
+    assert not (tmp_path / "out").exists()
+    # An empty name still means a synthetic table.
+    assert hardware_table_preset(calibration_csv="").calibration_csv == ""
 
 
 def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys):

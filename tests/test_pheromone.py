@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pherotrack.pheromone import (ARGMIN_TOL, GridGeometry, Pheromone,
-                                  PheromoneConfig, PheromoneGrid,
-                                  PheromoneList, build_map, delta_map,
-                                  diffuse_region, exploration_waypoint,
-                                  pheromone_value_at, update_pheromones)
+from pherotrack.pheromone import (ARGMIN_TOL, GridGeometry, PheromoneConfig,
+                                  PheromoneGrid, PheromoneList, build_map,
+                                  delta_map, diffuse_region,
+                                  exploration_waypoint, pheromone_value_at,
+                                  update_pheromones)
 
 ZERO2 = np.zeros(2)
 ZERO22 = np.zeros((2, 2))
@@ -17,7 +17,7 @@ ZERO22 = np.zeros((2, 2))
 
 def default_cfg(**kw):
     base = dict(w_init=35.0, w_decay=0.16, w_floor=0.1,
-                footprint_radius=4.0, cell_size=0.25)
+                footprint_radius=4.0)
     base.update(kw)
     return PheromoneConfig(**base)
 
@@ -86,12 +86,10 @@ def test_shift_and_covariance_growth():
     own = PheromoneList(1)
     own.append([1.0, 2.0], ZERO22, 35.0)
     update_pheromones(own, {}, [], [0.5, -0.5], 0.01 * np.eye(2), cfg)
-    old = own.items()[0]
-    assert np.allclose(old.position, [1.5, 1.5])
-    assert np.allclose(old.cov, 0.01 * np.eye(2))
+    assert np.allclose(own.positions[0], [1.5, 1.5])
+    assert np.allclose(own.covs[0], 0.01 * np.eye(2))
     # The fresh deposit marks the previously-occupied point = the shift.
-    new = own.items()[1]
-    assert np.allclose(new.position, [0.5, -0.5])
+    assert np.allclose(own.positions[1], [0.5, -0.5])
 
 
 def test_received_list_replaces_and_converts_frame():
@@ -116,21 +114,20 @@ def test_received_list_replaces_and_converts_frame():
 
 def test_diffuse_delta_cov_is_weighted_disk():
     geom = GridGeometry(3.0, 0.5)
-    p = Pheromone([0.0, 0.0], ZERO22, 7.0)
-    region = diffuse_region(p, 1.0, geom)
+    region = diffuse_region(ZERO2, ZERO22, 7.0, 1.0, geom)
     xs, ys = geom.centers()
     want = 7.0 * ((xs ** 2 + ys ** 2) <= 1.0)
     assert np.array_equal(region, want)
 
 
-def naive_diffuse(p, footprint_radius, geom):
+def naive_diffuse(position, cov, weight, footprint_radius, geom):
     """Direct-convolution oracle for diffuse_region (delta-free path)."""
     xs, ys = geom.centers()
-    disk = ((xs - p.position[0]) ** 2
-            + (ys - p.position[1]) ** 2 <= footprint_radius ** 2).astype(float)
-    sig_max = math.sqrt(max(np.linalg.eigvalsh(p.cov).max(), 0.0))
+    disk = ((xs - position[0]) ** 2
+            + (ys - position[1]) ** 2 <= footprint_radius ** 2).astype(float)
+    sig_max = math.sqrt(max(np.linalg.eigvalsh(cov).max(), 0.0))
     half = max(1, int(math.ceil(3.0 * sig_max / geom.cell_size)))
-    inv = np.linalg.inv(p.cov + np.eye(2) * 1e-12)
+    inv = np.linalg.inv(cov + np.eye(2) * 1e-12)
     out = np.zeros_like(disk)
     n = geom.n
     for i in range(n):
@@ -153,7 +150,7 @@ def naive_diffuse(p, footprint_radius, geom):
             out[i, j] = acc
     peak = out.max()
     if peak > 0:
-        out *= p.weight / peak
+        out *= weight / peak
     return out
 
 
@@ -163,16 +160,15 @@ def test_diffuse_matches_naive_convolution_oracle():
     for _ in range(5):
         m = rng.standard_normal((2, 2)) * 0.3
         cov = m @ m.T + 0.05 * np.eye(2)
-        p = Pheromone(rng.uniform(-1.0, 1.0, 2), cov, rng.uniform(1.0, 30.0))
-        got = diffuse_region(p, 1.0, geom)
-        want = naive_diffuse(p, 1.0, geom)
+        deposit = (rng.uniform(-1.0, 1.0, 2), cov, rng.uniform(1.0, 30.0))
+        got = diffuse_region(*deposit, 1.0, geom)
+        want = naive_diffuse(*deposit, 1.0, geom)
         assert np.allclose(got, want, atol=1e-9)
 
 
 def test_diffuse_symmetry():
     geom = GridGeometry(3.0, 0.25)
-    p = Pheromone([0.0, 0.0], 0.2 * np.eye(2), 10.0)
-    region = diffuse_region(p, 1.5, geom)
+    region = diffuse_region(ZERO2, 0.2 * np.eye(2), 10.0, 1.5, geom)
     assert np.allclose(region, region[::-1, :], atol=1e-9)
     assert np.allclose(region, region[:, ::-1], atol=1e-9)
     assert np.allclose(region, region.T, atol=1e-9)
@@ -181,9 +177,9 @@ def test_diffuse_symmetry():
 def test_diffuse_validation_and_empty_disk():
     geom = GridGeometry(2.0, 0.5)
     with pytest.raises(ValueError):
-        diffuse_region(Pheromone([0.0, 0.0], ZERO22, 1.0), 0.0, geom)
-    far = Pheromone([50.0, 50.0], 0.1 * np.eye(2), 1.0)
-    assert np.array_equal(diffuse_region(far, 1.0, geom),
+        diffuse_region(ZERO2, ZERO22, 1.0, 0.0, geom)
+    far = (np.array([50.0, 50.0]), 0.1 * np.eye(2), 1.0)
+    assert np.array_equal(diffuse_region(*far, 1.0, geom),
                           np.zeros((geom.n, geom.n)))
 
 
@@ -208,7 +204,7 @@ def test_delta_map_equals_build_map_over_diffused_regions():
         k = int(rng.integers(1, 8))
         positions = rng.uniform(-5.0, 5.0, size=(k, 2))
         weights = rng.uniform(0.5, 35.0, size=k)
-        regions = [diffuse_region(Pheromone(p, ZERO22, w), 2.0, geom)
+        regions = [diffuse_region(p, ZERO22, w, 2.0, geom)
                    for p, w in zip(positions, weights)]
         want = build_map(regions, geom).weights
         got = delta_map(positions, weights, 2.0, geom).weights
@@ -318,6 +314,11 @@ def test_waypoint_valid_mask_restricts_candidates():
     rng = np.random.default_rng(3)
     wp, w = exploration_waypoint(grid, None, ZERO2, 2.0, 0.1, rng,
                                  valid=valid)
+    assert geom.index_of(wp) != (i, j)
+    assert w == 1.0
+    # A carried waypoint in a ruled-out cell is redrawn as well.
+    wp, w = exploration_waypoint(grid, (np.array([-1.0, 0.0]), 0.0), ZERO2,
+                                 2.0, 0.1, rng, valid)
     assert geom.index_of(wp) != (i, j)
     assert w == 1.0
 
