@@ -6,7 +6,7 @@ import numpy as np
 
 from pherotrack import pheromone as ph
 from pherotrack.agent import (KD_THETA, KP_R, KP_THETA, AgentBrain,
-                              AgentConfig, ControlInput, pd_control)
+                              AgentConfig, pd_control)
 from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
