@@ -18,17 +18,22 @@ and says why in CHANGES.md.
 ``FILE_GOLDEN`` extends the contract to the files a run writes: the
 telemetry rows (waypoints as printed, so a signed zero shows as ``-0``) and
 the PGM map dumps, for three cases that between them cover the pheromone
-map, a baseline explorer and calibration-table sensing.
+map, a baseline explorer and calibration-table sensing; and the CSVs of a
+Monte-Carlo batch (runs.csv, series.csv, summary.csv) and of a sensing-radius
+sweep (sweep.csv), one digest per file, with censored runs and empty, whole
+and fractional means among their cells.
 """
 
 import csv
 import hashlib
 import io
 import os
+from dataclasses import replace
 
 import pytest
 
-from pherotrack.harness import ASSIGN_ALGOS, SEARCH_ALGOS, simulate_run
+from pherotrack.harness import (ASSIGN_ALGOS, SEARCH_ALGOS, ExperimentSpec,
+                                run_monte_carlo, run_sweep, simulate_run)
 from pherotrack.world import hardware_table_preset, sim_2d_preset
 
 SEEDS = (0, 1)
@@ -76,6 +81,9 @@ FILE_GOLDEN = {
     "pheromone/greedy-distributed": ("0afa925e9f4076e3", "0b52ced8693a7a40"),
     "levy/auction": ("0116d1b771373203", "5881e03dee08bf8f"),
     "hardware-table": ("73a9da4c71cf548d", "76e2e1fa82fb498d"),
+    "csv/batch": ("ef732af67037dd5a", "02338d3df61fb286",
+                  "e40682d630392bf3"),
+    "csv/sweep-fov": ("eca7e6a57f164f2b",),
 }
 
 
@@ -118,7 +126,26 @@ def file_digest(name, seed, maps_dir) -> str:
     return h.hexdigest()[:16]
 
 
+def csv_digests(name, out_dir):
+    """Digests of the CSVs a three-seed batch or a two-seed sweep writes."""
+    spec = ExperimentSpec(_pair_cfg(), runs=3, max_steps=PAIR_STEPS,
+                          out_dir=out_dir)
+    if name == "csv/batch":
+        run_monte_carlo(spec)
+        files = ("runs.csv", "series.csv", "summary.csv")
+    else:
+        run_sweep(replace(spec, runs=2, max_steps=100), which="fov")
+        files = ("sweep.csv",)
+    digests = []
+    for fname in files:
+        with open(os.path.join(out_dir, fname), "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest()[:16])
+    return tuple(digests)
+
+
 def run_file_case(name, tmp_dir):
+    if name.startswith("csv/"):
+        return csv_digests(name, tmp_dir)
     return tuple(file_digest(name, seed, os.path.join(tmp_dir, str(seed)))
                  for seed in SEEDS)
 
