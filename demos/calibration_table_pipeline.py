@@ -45,7 +45,7 @@ def main():
     print(f"characterized {len(table.points)} grid points "
           f"(1 bl radial steps, 10 deg angular steps) -> {path}")
 
-    loaded = load_calibration_csv(path, n_neighbors=3)
+    loaded = load_calibration_csv(path, fov, n_neighbors=3)
     print("\ninterpolated vs closed-form noise scale (c11, bl^2):")
     print(f"{'range':>6}{'bearing':>9}{'table':>10}{'closed':>10}")
     for r, phi_deg in [(2.0, 0.0), (3.0, 0.0), (4.5, 20.0), (5.0, -40.0)]:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import pheromone as ph
 from .baselines import local_greedy_select
-from .estimation import GaussianEstimate, add2, add4, entropy, scaled_eye
+from .estimation import add2, add4, entropy, scaled_eye
 from .sensing import (AnalyticCovMap, CalibrationTable, SectorFov,
-                      best_viewpoint, contains, rot2, wrap_angle)
+                      best_viewpoint, rot2, sector_polar, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
                        select_target, update_storage)
 
@@ -44,15 +44,13 @@ class BroadcastPacket:
     """What an agent puts on the air each step.
 
     Contents snapshot the pre-update lists (the broadcast precedes the
-    storage updates in the per-step order).  ``rel_pos`` is empty on
-    emission; the channel attaches the receiver-side measurement of the
-    sender at delivery.
+    storage updates in the per-step order).  Every receiver gets this same
+    object; the channel delivers its measurement of the sender beside it.
     """
 
     sender: int
     pheromones: ph.PheromoneList
     targets: list
-    rel_pos: GaussianEstimate | None = None
 
 
 def pd_control(waypoint_body, prev_face_body, u_max,
@@ -88,10 +86,9 @@ def pd_control(waypoint_body, prev_face_body, u_max,
 
 @dataclass
 class Telemetry:
-    """Per-step record: mode, chosen target, waypoint, exploit entropy."""
+    """Per-step record: target id (0: exploring), waypoint, exploit entropy."""
 
     target_id: int
-    mode: str
     waypoint: np.ndarray
     entropy: float | None
 
@@ -112,7 +109,6 @@ class AgentConfig:
     viewpoint: np.ndarray = field(init=False)
 
     def __post_init__(self, cov_map):
-        self.u_max = np.asarray(self.u_max, dtype=float).reshape(2)
         self.viewpoint = best_viewpoint(cov_map, self.fov)
 
 
@@ -130,17 +126,12 @@ class AgentBrain:
     own_pheromones: ph.PheromoneList = None
     neighbor_pheromones: dict = field(default_factory=dict)
     carried: tuple | None = None    # (waypoint, stored weight) while exploring
-    selected_target: int = 0
     prev_waypoint_body: np.ndarray | None = None
     step_count: int = 0
 
     def __post_init__(self):
         if self.own_pheromones is None:
             self.own_pheromones = ph.PheromoneList(self.agent_id)
-
-    @property
-    def mode(self) -> str:
-        return "exploit" if self.selected_target > 0 else "explore"
 
     def snapshot_packet(self) -> BroadcastPacket:
         # Copies share their float tuples, which cannot change.
@@ -243,8 +234,8 @@ class AgentBrain:
         """
         cfg = self.cfg
         det_ids = {tid for tid, _ in detections}
-        sector = SectorFov(max(cfg.fov.range_bl - 0.25, 1e-6),
-                           max(cfg.fov.half_angle - 0.05, 1e-6), heading)
+        reach = max(cfg.fov.range_bl - 0.25, 1e-6)
+        half = max(cfg.fov.half_angle - 0.05, 1e-6)
         clamp = self._clamper(own_pos)
         lifetime = cfg.pher_cfg.max_list_length()
         deposits = None   # gathered on first need
@@ -275,7 +266,7 @@ class AgentBrain:
                     continue
                 mean = clamp(rec.mean if offset is None
                              else add2(rec.mean, offset))
-                if contains(sector, mean) or \
+                if sector_polar(*mean, reach, half, heading) is not None or \
                         searched_since(mean, rec.last_update_step):
                     rec.cov = add4(rec.cov, MISS_BUMP)
 
@@ -287,8 +278,8 @@ class AgentBrain:
 
         Args:
             detections: list of (target_id, GaussianEstimate) from the sensor.
-            rx_packets: BroadcastPackets delivered this step, each with the
-                channel-attached ``rel_pos`` measurement of its sender.
+            rx_packets: (BroadcastPacket as sent, GaussianEstimate of the
+                sender's relative position) pairs delivered this step.
             displacement: sensed own displacement p(t) - p(t-1), local frame.
             sigma_dp: covariance of the displacement measurement.
             heading: sensed own heading in the local frame (dead-reckoned on
@@ -306,7 +297,7 @@ class AgentBrain:
         packet = self.snapshot_packet()
 
         shift = -np.asarray(displacement, dtype=float).reshape(2)
-        target_rx = [(p.sender, p.targets, p.rel_pos) for p in rx_packets]
+        target_rx = [(p.sender, p.targets, meas) for p, meas in rx_packets]
         update_storage(self.local_targets, self.neighbor_targets, detections,
                        target_rx, shift, sigma_dp, cfg.tracker_cfg,
                        step=self.step_count)
@@ -317,7 +308,7 @@ class AgentBrain:
             pher_rx = [
                 (p.sender, p.pheromones,
                  self.neighbor_targets[p.sender].rel_mean)
-                for p in rx_packets
+                for p, _ in rx_packets
             ]
             ph.update_pheromones(self.own_pheromones, self.neighbor_pheromones,
                                  pher_rx, shift, sigma_dp, cfg.pher_cfg)
@@ -325,13 +316,13 @@ class AgentBrain:
         if forced_target is not None:
             k_star = int(forced_target)
         elif cfg.assign == "local-greedy":
-            sector = SectorFov(cfg.fov.range_bl, cfg.fov.half_angle, heading)
             k_star = local_greedy_select(
-                self.local_targets, lambda mean: contains(sector, mean))
+                self.local_targets, lambda mean: sector_polar(
+                    *mean, cfg.fov.range_bl, cfg.fov.half_angle,
+                    heading) is not None)
         else:
             k_star = select_target(self.agent_id, self.local_targets,
                                    self.neighbor_targets)
-        self.selected_target = k_star
 
         exploit_entropy = None
         if k_star > 0:
@@ -342,7 +333,6 @@ class AgentBrain:
                 # A forced selection can lag the lists by a step; fall back
                 # to exploring until the external assignment catches up.
                 k_star = 0
-                self.selected_target = 0
         if k_star > 0:
             exploit_entropy = entropy(est.cov)
             # Anchor the best-viewpoint offset to the line of sight, not the
@@ -378,7 +368,7 @@ class AgentBrain:
                              cfg.u_max, face_body)
         self.prev_waypoint_body = face_body
 
-        telemetry = Telemetry(k_star, self.mode, np.asarray(waypoint, float),
+        telemetry = Telemetry(k_star, np.asarray(waypoint, float),
                               exploit_entropy)
         self.step_count += 1
         return packet, control, telemetry

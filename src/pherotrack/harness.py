@@ -30,10 +30,13 @@ SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
 ASSIGN_ALGOS = ("greedy-distributed", "auction", "local-greedy")
 
 # Header of telemetry_seed<S>.csv, one row per step and agent (see README).
-# ``entropy`` is the exploited target's combined-covariance determinant,
-# empty while exploring.
+# ``mode`` is "exploit" iff ``k_star`` > 0; ``entropy`` is the exploited
+# target's combined-covariance determinant, empty while exploring.
 TELEMETRY_COLUMNS = ("t", "agent_id", "mode", "k_star", "waypoint_x",
                      "waypoint_y", "entropy")
+# The keys of :func:`summarize`: the columns of summary.csv and sweep.csv.
+SUMMARY_KEYS = ("runs", "completed", "censored", "mean_time_to_track",
+                "median_time_to_track")
 
 
 @dataclass
@@ -100,7 +103,7 @@ def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
         cmap = cfg.cov_map()
         return None, cmap
     if cfg.calibration_csv:
-        table = load_calibration_csv(cfg.calibration_csv)
+        table = load_calibration_csv(cfg.calibration_csv, fov)
     else:
         table = synthetic_calibration_table(cfg.cov_map(), fov)
     return (lambda r, phi: interpolate_cov(table, r, phi)), table
@@ -204,8 +207,7 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
             for i in range(n):
                 vmap.mark_seen(state.agent_pos[i], cfg.r_s)
 
-        rx = wd.deliver_broadcasts(packets, state, t, cfg) if packets \
-            else {i: [] for i in range(n)}
+        rx = wd.deliver_broadcasts(packets, state, t, cfg)
 
         new_packets = {}
         inputs = []
@@ -225,8 +227,9 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
                     state, i, telem.target_id - 1, cfg):
                 satisfied.add(telem.target_id)
             if telemetry_writer is not None:
+                mode = "exploit" if telem.target_id > 0 else "explore"
                 telemetry_writer.writerow([
-                    t, brains[i].agent_id, telem.mode, telem.target_id,
+                    t, brains[i].agent_id, mode, telem.target_id,
                     f"{telem.waypoint[0]:.6g}", f"{telem.waypoint[1]:.6g}",
                     "" if telem.entropy is None else f"{telem.entropy:.6g}",
                 ])
@@ -299,9 +302,17 @@ def run_monte_carlo(spec: ExperimentSpec):
     summary = summarize(results)
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
-        write_runs_csv(os.path.join(spec.out_dir, "runs.csv"), results)
-        write_series_csv(os.path.join(spec.out_dir, "series.csv"), results)
-        write_summary_csv(os.path.join(spec.out_dir, "summary.csv"), summary)
+        write_csv(os.path.join(spec.out_dir, "runs.csv"),
+                  ("seed", "time_to_track", "censored", "n_tracked_final"),
+                  ([m.seed, _fmt(m.time_to_track), int(m.censored),
+                    m.n_tracked_final] for m in results))
+        write_csv(os.path.join(spec.out_dir, "series.csv"),
+                  ("seed", "t", "H", "n_tracked"),
+                  ([m.seed, t, _fmt(float(h)), nt] for m in results
+                   for t, (h, nt) in enumerate(zip(m.h_series,
+                                                   m.n_tracked_series))))
+        write_csv(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_KEYS,
+                  [[_fmt(summary[k]) for k in SUMMARY_KEYS]])
     return summary, results
 
 
@@ -324,31 +335,12 @@ def _fmt(x):
     return str(x)
 
 
-def write_runs_csv(path, results):
+def write_csv(path, header, rows):
+    """Write one CSV artifact: a header row, then ``rows``."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["seed", "time_to_track", "censored", "n_tracked_final"])
-        for m in results:
-            w.writerow([m.seed, _fmt(m.time_to_track), int(m.censored),
-                        m.n_tracked_final])
-
-
-def write_series_csv(path, results):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["seed", "t", "H", "n_tracked"])
-        for m in results:
-            for t, (h, nt) in enumerate(zip(m.h_series, m.n_tracked_series)):
-                w.writerow([m.seed, t, _fmt(float(h)), nt])
-
-
-def write_summary_csv(path, summary):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        keys = ["runs", "completed", "censored", "mean_time_to_track",
-                "median_time_to_track"]
-        w.writerow(keys)
-        w.writerow([_fmt(summary[k]) for k in keys])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # Sweep grids mirroring the reported studies.
@@ -392,12 +384,8 @@ def run_sweep(base: ExperimentSpec, which="agents"):
 
     if base.out_dir:
         os.makedirs(base.out_dir, exist_ok=True)
-        with open(os.path.join(base.out_dir, "sweep.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["point", "runs", "completed", "censored",
-                        "mean_time_to_track", "median_time_to_track"])
-            for label, s in out:
-                w.writerow([label, s["runs"], s["completed"], s["censored"],
-                            _fmt(s["mean_time_to_track"]),
-                            _fmt(s["median_time_to_track"])])
+        write_csv(os.path.join(base.out_dir, "sweep.csv"),
+                  ("point",) + SUMMARY_KEYS,
+                  ([label] + [_fmt(s[k]) for k in SUMMARY_KEYS]
+                   for label, s in out))
     return out

@@ -1,16 +1,16 @@
 """Sensor geometry and covariance maps.
 
-Covers the sector field of view and its one membership test, the analytic
-camera covariance map used by the 2D simulation, and the calibration table
-(N-nearest interpolation over a sampled covariance grid, saved as CSV) that
-stands in for a hardware-characterized sensor.
+Covers the sector FOV and its one test, :func:`sector_polar`, which every
+caller calls directly; the analytic camera covariance map of the 2D simulation;
+and the calibration table (N-nearest interpolation over a sampled covariance
+grid, saved as CSV) that stands in for a hardware-characterized sensor.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,10 @@ def rot2(theta):
 
 @dataclass
 class SectorFov:
-    """Sector field of view anchored at an agent pose.
-
-    ``heading`` is the sector's center direction in the agent's local frame;
-    the anchor position is the agent itself, so containment tests take points
-    relative to the agent.
-    """
+    """Sector field of view of a sensor looking along its own +x axis."""
 
     range_bl: float
     half_angle: float
-    heading: float = 0.0
 
     def __post_init__(self):
         if self.range_bl <= 0:
@@ -62,12 +56,6 @@ def sector_polar(x: float, y: float, range_bl: float, half_angle: float,
     if abs(bearing) > half_angle:
         return None
     return r, bearing
-
-
-def contains(fov: SectorFov, point) -> bool:
-    """Sector membership test for a point relative to the FOV's agent."""
-    return sector_polar(float(point[0]), float(point[1]), fov.range_bl,
-                        fov.half_angle, fov.heading) is not None
 
 
 @dataclass
@@ -100,17 +88,18 @@ class CalibrationTable:
 
     ``points`` are (r, bearing) pairs; distances for interpolation are taken
     in the cartesian sensor frame.  ``r_max`` is the norm of the longest
-    vector that fits inside the FOV (the chord between extreme rays for wide
-    sectors), which keeps all interpolation weights nonnegative.
+    vector that fits inside the sensor's ``fov`` (the chord between extreme
+    rays for wide sectors), which keeps all interpolation weights nonnegative.
     """
 
     points: np.ndarray           # (M, 2) of (r, bearing)
     covs: np.ndarray             # (M, 2, 2)
+    fov: InitVar[SectorFov]
     n_neighbors: int = 1
-    r_max: float = 0.0
+    r_max: float = field(init=False)
     _xy: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, fov):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
         self.covs = np.asarray(self.covs, dtype=float).reshape(-1, 2, 2)
         if len(self.points) == 0:
@@ -119,8 +108,8 @@ class CalibrationTable:
             raise ValueError("n_neighbors must be >= 1")
         for c in self.covs:
             check_cov(c)
-        if self.r_max <= 0:
-            self.r_max = float(self.points[:, 0].max() * 2.0)
+        self.r_max = 2.0 * fov.range_bl * math.sin(min(fov.half_angle,
+                                                        math.pi / 2))
         self._xy = np.stack(
             [
                 self.points[:, 0] * np.cos(self.points[:, 1]),
@@ -133,8 +122,9 @@ class CalibrationTable:
 def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
     """N-nearest inverse-distance-weighted covariance at (r, bearing).
 
-    Weights are 1 - d/r_max over the ``n_neighbors`` nearest table entries;
-    with a single neighbor this degenerates to a Voronoi lookup.
+    Weights are 1 - d/r_max over the ``n_neighbors`` nearest table entries.
+    One neighbor gives ``(w * c) / w``: the nearest entry ``c`` (a Voronoi
+    lookup) up to rounding, which can move its last bit.
     """
     q = np.array([r * math.cos(bearing), r * math.sin(bearing)])
     d = np.linalg.norm(table._xy - q, axis=1)
@@ -198,8 +188,10 @@ def save_calibration_csv(table: CalibrationTable, path):
             w.writerow([r, math.degrees(phi), c[0, 0], c[0, 1], c[1, 1]])
 
 
-def load_calibration_csv(path, n_neighbors=1) -> CalibrationTable:
-    """Load a calibration table written by :func:`save_calibration_csv`."""
+def load_calibration_csv(path, fov: SectorFov,
+                         n_neighbors=1) -> CalibrationTable:
+    """Load a calibration table written by :func:`save_calibration_csv`
+    for the sensor ``fov``."""
     points, covs = [], []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -207,8 +199,8 @@ def load_calibration_csv(path, n_neighbors=1) -> CalibrationTable:
             points.append([float(row["r"]), math.radians(float(row["bearing_deg"]))])
             c12 = float(row["c12"])
             covs.append([[float(row["c11"]), c12], [c12, float(row["c22"])]])
-    return CalibrationTable(np.array(points), np.array(covs),
-                            n_neighbors=n_neighbors)
+    return CalibrationTable(np.array(points), np.array(covs), fov,
+                            n_neighbors)
 
 
 def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov, dr=1.0,
@@ -229,6 +221,5 @@ def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov, dr=1.0,
             points.append([r, phi])
             covs.append(analytic_cov_at(cmap, r, phi))
         r += dr
-    r_max = 2.0 * fov.range_bl * math.sin(min(fov.half_angle, math.pi / 2))
-    return CalibrationTable(np.array(points), np.array(covs),
-                            n_neighbors=n_neighbors, r_max=r_max)
+    return CalibrationTable(np.array(points), np.array(covs), fov,
+                            n_neighbors)

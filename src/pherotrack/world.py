@@ -324,12 +324,13 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
     """r-disk delivery with the periodic reception schedule.
 
     Agent i receives j's packet iff they are within r_c and t is one of i's
-    reception steps (all agents share phase 0).  Each delivered packet gets a
-    fresh receiver-side relative-position measurement of the sender with
-    covariance diag(k_p * distance), floored to stay invertible.
+    reception steps (all agents share phase 0).  Each delivery pairs the
+    sender's packet, as sent, with a fresh receiver-side relative-position
+    measurement of the sender with covariance diag(k_p * distance), floored
+    to stay invertible.
 
     ``packets`` maps sender id to BroadcastPacket; returns receiver id ->
-    list of delivered copies.
+    list of (packet, measurement) pairs.
     """
     rx = {i: [] for i in range(cfg.n_agents)}
     if t % cfg.rx_period != 0:
@@ -346,11 +347,6 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
                 continue
             var = max(cfg.k_p * dist, cfg.eta_floor)
             noise = cfg.noise_scale * math.sqrt(var) * rng.standard_normal(2)
-            delivered = type(packet)(
-                sender=packet.sender,
-                pheromones=packet.pheromones,
-                targets=packet.targets,
-                rel_pos=GaussianEstimate(rels[j] + noise, var * EYE2),
-            )
-            rx[i].append(delivered)
+            rx[i].append(
+                (packet, GaussianEstimate(rels[j] + noise, var * EYE2)))
     return rx

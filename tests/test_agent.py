@@ -10,7 +10,7 @@ from pherotrack.agent import (KD_THETA, KP_R, KP_THETA, AgentBrain,
 from pherotrack.sensing import wrap_angle
 from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
-from pherotrack.sensing import AnalyticCovMap, SectorFov, contains
+from pherotrack.sensing import AnalyticCovMap, SectorFov, sector_polar
 from pherotrack.tracking import TargetRecord, TrackerConfig, update_storage
 
 U_MAX = (0.4, math.radians(15.0))
@@ -95,7 +95,6 @@ def test_explore_when_nothing_known():
     brain = make_brain()
     packet, u, telem = step(brain)
     assert telem.target_id == 0
-    assert telem.mode == "explore"
     assert telem.entropy is None
     assert packet.targets == []
     assert 0.0 <= u.u1 <= U_MAX[0] and abs(u.u2) <= U_MAX[1]
@@ -107,7 +106,6 @@ def test_detection_triggers_exploitation():
     brain = make_brain()
     packet, u, telem = step(brain, [det(1, [2.0, 0.0], 1e-3)])
     assert telem.target_id == 1
-    assert telem.mode == "exploit"
     assert math.isclose(telem.entropy, 1e-6)
     # Broadcast snapshots the pre-update list: this detection is not in it.
     assert packet.targets == []
@@ -122,7 +120,7 @@ def test_detection_triggers_exploitation():
 def test_distant_target_drives_toward_viewpoint():
     brain = make_brain()
     _, u, telem = step(brain, [det(1, [10.0, 0.0], 0.5)])
-    assert telem.mode == "exploit"
+    assert telem.target_id == 1
     # Waypoint parks the target at the best viewpoint: 8 bl ahead.
     assert np.allclose(telem.waypoint, [8.0, 0.0], atol=1e-9)
     assert u.u1 == U_MAX[0]
@@ -149,7 +147,7 @@ def test_forced_unknown_target_falls_back_to_explore():
     brain = make_brain(assign="greedy-distributed")
     _, _, telem = step(brain, forced_target=3)
     assert telem.target_id == 0
-    assert telem.mode == "explore"
+    assert telem.entropy is None
 
 
 def test_forced_known_target_overrides_negotiation():
@@ -190,7 +188,7 @@ def test_explorer_steers_instead_of_pheromones(monkeypatch):
         _, u, telem = brain.step([], [], np.array([0.5, 0.0]),
                                  np.zeros((2, 2)), 0.0,
                                  own_pos=np.array([15.0, 15.0]))
-        assert telem.mode == "explore"
+        assert telem.target_id == 0
         assert telem.waypoint.tolist() == [3.0, 4.0]
     # Called once per explore step with the frame shift and the true pose.
     assert calls == [([-0.5, -0.0], [15.0, 15.0])] * 3
@@ -276,8 +274,8 @@ def _reference_negative_info(brain, local, neighbors, detections, heading,
     """Negative information as it was on array records (``.estimate``)."""
     cfg = brain.cfg
     det_ids = {tid for tid, _ in detections}
-    sector = SectorFov(max(cfg.fov.range_bl - 0.25, 1e-6),
-                       max(cfg.fov.half_angle - 0.05, 1e-6), heading)
+    reach = max(cfg.fov.range_bl - 0.25, 1e-6)
+    half = max(cfg.fov.half_angle - 0.05, 1e-6)
     bump = 1.0 * np.eye(2)
     lifetime = cfg.pher_cfg.max_list_length()
 
@@ -312,7 +310,7 @@ def _reference_negative_info(brain, local, neighbors, detections, heading,
             mean = rec.estimate.mean if offset is None \
                 else rec.estimate.mean + offset
             mean = clamp_rel(mean)
-            if contains(sector, mean) or \
+            if sector_polar(*mean, reach, half, heading) is not None or \
                     searched_since(mean, rec.last_update_step):
                 rec.estimate.cov = rec.estimate.cov + bump
 

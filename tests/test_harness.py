@@ -158,6 +158,20 @@ def test_telemetry_header_matches_schema_and_readme(tmp_path):
         assert f"`{', '.join(TELEMETRY_COLUMNS)}`" in f.read()
 
 
+def test_telemetry_mode_follows_k_star(tmp_path):
+    spec = ExperimentSpec(config=small_cfg(), runs=1, max_steps=60,
+                          out_dir=str(tmp_path), dump_telemetry=True,
+                          stop_when_tracked=False)
+    run_monte_carlo(spec)
+    with open(tmp_path / "telemetry_seed0.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    for r in rows:
+        exploit = int(r["k_star"]) > 0
+        assert r["mode"] == ("exploit" if exploit else "explore")
+        assert (r["entropy"] != "") == exploit
+    assert {r["mode"] for r in rows} == {"explore", "exploit"}
+
+
 def test_byte_identical_replay(tmp_path):
     for sub in ("a", "b"):
         spec = ExperimentSpec(config=small_cfg(), runs=2, max_steps=50,
@@ -262,16 +276,21 @@ def test_brains_share_one_agent_config(monkeypatch):
 
 
 def test_calibration_csv_config_roundtrip(tmp_path):
+    # A run from a CSV of the preset's own synthetic table is the preset run,
+    # bit for bit: the loaded table keeps the synthetic table's r_max.
     import pherotrack.sensing as sensing
+    preset = hardware_table_preset()
     table = sensing.synthetic_calibration_table(
-        sensing.AnalyticCovMap(),
-        sensing.SectorFov(5.5, math.radians(60.0)))
+        preset.cov_map(), sensing.SectorFov(preset.r_s, preset.half_angle))
     path = tmp_path / "calib.csv"
     sensing.save_calibration_csv(table, path)
     cfg = hardware_table_preset(calibration_csv=str(path))
-    m = simulate_run(cfg, "pheromone", "greedy-distributed",
-                     max_steps=20, seed=0)
-    assert len(m.h_series) >= 1
+    for seed in range(3):
+        runs = [simulate_run(c, "pheromone", "greedy-distributed",
+                             max_steps=300, seed=seed,
+                             stop_when_tracked=False) for c in (preset, cfg)]
+        want, got = ([float(h).hex() for h in m.h_series] for m in runs)
+        assert len(got) == 300 and got == want, seed
 
 
 def test_pheromone_map_dump(tmp_path):

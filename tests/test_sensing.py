@@ -8,9 +8,9 @@ import pytest
 
 from pherotrack.sensing import (AnalyticCovMap, CalibrationTable,
                                 CALIBRATION_CSV_FIELDS, SectorFov,
-                                analytic_cov_at, best_viewpoint, contains,
+                                analytic_cov_at, best_viewpoint,
                                 interpolate_cov, load_calibration_csv,
-                                save_calibration_csv,
+                                save_calibration_csv, sector_polar,
                                 synthetic_calibration_table, wrap_angle)
 
 
@@ -26,15 +26,21 @@ def test_wrap_angle():
 
 
 def test_sector_contains():
-    fov = SectorFov(4.0, math.radians(60.0))
-    assert contains(fov, [0.0, 0.0])                  # the agent itself
-    assert contains(fov, [3.9, 0.0])
-    assert not contains(fov, [4.1, 0.0])              # out of range
-    assert contains(fov, [1.0, math.tan(math.radians(59.0))])
-    assert not contains(fov, [-1.0, 0.0])             # behind
-    rotated = SectorFov(4.0, math.radians(60.0), heading=math.pi)
-    assert contains(rotated, [-1.0, 0.0])
-    assert not contains(rotated, [1.0, 0.0])
+    half = math.radians(60.0)
+
+    def contains(x, y, heading=0.0):
+        return sector_polar(x, y, 4.0, half, heading) is not None
+
+    assert contains(0.0, 0.0)                         # the agent itself
+    assert contains(3.9, 0.0)
+    assert not contains(4.1, 0.0)                     # out of range
+    assert contains(1.0, math.tan(math.radians(59.0)))
+    assert not contains(-1.0, 0.0)                    # behind
+    assert contains(-1.0, 0.0, heading=math.pi)       # turned around
+    assert not contains(1.0, 0.0, heading=math.pi)
+    # In the sector, the point comes back in polar form about the heading.
+    r, bearing = sector_polar(0.0, 2.0, 4.0, half, math.pi / 4)
+    assert r == 2.0 and math.isclose(bearing, math.pi / 4)
 
 
 def test_sector_validation():
@@ -115,14 +121,15 @@ def test_interpolate_matches_weighted_oracle():
 
 
 def test_calibration_table_validation():
+    fov = SectorFov(4.0, math.radians(60.0))
     with pytest.raises(ValueError):
-        CalibrationTable(np.empty((0, 2)), np.empty((0, 2, 2)))
+        CalibrationTable(np.empty((0, 2)), np.empty((0, 2, 2)), fov)
     with pytest.raises(ValueError):
-        CalibrationTable(np.array([[1.0, 0.0]]), np.array([np.eye(2)]),
+        CalibrationTable(np.array([[1.0, 0.0]]), np.array([np.eye(2)]), fov,
                          n_neighbors=0)
     with pytest.raises(ValueError):
         CalibrationTable(np.array([[1.0, 0.0]]),
-                         np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+                         np.array([[[1.0, 0.0], [0.0, -1.0]]]), fov)
 
 
 def test_calibration_csv_roundtrip(tmp_path):
@@ -133,6 +140,8 @@ def test_calibration_csv_roundtrip(tmp_path):
     with open(path, newline="") as f:
         header = next(csv.reader(f))
     assert header == CALIBRATION_CSV_FIELDS
-    loaded = load_calibration_csv(path)
+    loaded = load_calibration_csv(path, fov)
     assert np.allclose(loaded.points, table.points, atol=1e-12)
     assert np.allclose(loaded.covs, table.covs, atol=1e-12)
+    # Both builders take r_max from the FOV, so the reload is the same table.
+    assert loaded.r_max == table.r_max == 8.0 * math.sin(math.radians(60.0))

@@ -8,7 +8,7 @@ import pytest
 from pherotrack.agent import BroadcastPacket, ControlInput
 from pherotrack.estimation import EPS_INV
 from pherotrack.pheromone import PheromoneList
-from pherotrack.sensing import SectorFov, contains, sector_polar
+from pherotrack.sensing import sector_polar
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
                               deliver_broadcasts, hardware_table_preset,
                               make_state, sense_displacement, sense_targets,
@@ -279,11 +279,10 @@ def test_one_sector_rule_for_every_caller():
     for heading, (x, y), inside in SECTOR_CASES:
         place(state, [[10.0, 10.0]], [heading], [[10.0 + x, 10.0 + y]])
         polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
-        fov = SectorFov(cfg.r_s, cfg.half_angle, heading)
         dets = sense_targets(state, 0, cfg)
-        got = (polar is not None, contains(fov, (x, y)),
-               target_in_fov(state, 0, 0, cfg), len(dets) == 1)
-        assert got == (inside,) * 4, (heading, x, y, got)
+        got = (polar is not None, target_in_fov(state, 0, 0, cfg),
+               len(dets) == 1)
+        assert got == (inside,) * 3, (heading, x, y, got)
         if inside:
             # Noise-free, the detection is the true point, with the
             # covariance the map gives at the helper's (r, bearing).
@@ -373,14 +372,40 @@ def test_broadcasts_follow_schedule_and_radius():
     rx = deliver_broadcasts(packets, state, 3, cfg)
     # r_c = 12: agent 0 hears only agent 1 (5 bl; agent 2 is 15 bl away);
     # agent 1 hears both (5 and 10 bl); agent 2 hears only agent 1.
-    assert [p.sender for p in rx[0]] == [2]
-    assert [p.sender for p in rx[1]] == [1, 3]
-    assert [p.sender for p in rx[2]] == [2]
+    assert [p.sender for p, _ in rx[0]] == [2]
+    assert [p.sender for p, _ in rx[1]] == [1, 3]
+    assert [p.sender for p, _ in rx[2]] == [2]
 
-    # The channel attaches a receiver-side measurement of the sender.
-    meas = rx[0][0].rel_pos
+    # Beside each packet, a receiver-side measurement of the sender.
+    meas = rx[0][0][1]
     assert np.allclose(meas.mean, [5.0, 0.0])
     assert np.allclose(meas.cov, max(cfg.k_p * 5.0, cfg.eta_floor) * np.eye(2))
+    assert np.allclose(rx[2][0][1].mean, [-10.0, 0.0])
+
+
+def test_delivered_packet_is_the_one_sent():
+    # Receivers share the sender's packet; only the measurements differ.
+    cfg = sim_2d_preset(n_agents=3, n_targets=1)
+    state = make_state(cfg)
+    state.agent_pos[:] = [[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]]
+    packets = {i: packet(i + 1) for i in range(3)}
+    rx = deliver_broadcasts(packets, state, 0, cfg)
+    for i, delivered in rx.items():
+        assert len(delivered) == 2
+        for p, meas in delivered:
+            assert p is packets[p.sender - 1]
+            assert meas is not None
+    heard_0 = {p.sender: meas for p, meas in rx[0]}
+    heard_2 = {p.sender: meas for p, meas in rx[2]}
+    assert heard_0[2] is not heard_2[2]
+
+
+def test_empty_air_draws_no_channel_noise():
+    cfg = sim_2d_preset(n_agents=2, n_targets=1)
+    state = make_state(cfg)
+    before = [r.bit_generator.state for r in state.channel_rngs]
+    assert deliver_broadcasts({}, state, 0, cfg) == {0: [], 1: []}
+    assert [r.bit_generator.state for r in state.channel_rngs] == before
 
 
 def test_no_self_delivery():
@@ -388,5 +413,5 @@ def test_no_self_delivery():
     state = make_state(cfg)
     state.agent_pos[:] = [[0.0, 0.0], [1.0, 0.0]]
     rx = deliver_broadcasts({i: packet(i + 1) for i in range(2)}, state, 0, cfg)
-    assert [p.sender for p in rx[0]] == [2]
-    assert [p.sender for p in rx[1]] == [1]
+    assert [p.sender for p, _ in rx[0]] == [2]
+    assert [p.sender for p, _ in rx[1]] == [1]
