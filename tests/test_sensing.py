@@ -38,9 +38,6 @@ def test_sector_contains():
     assert not contains(-1.0, 0.0)                    # behind
     assert contains(-1.0, 0.0, heading=math.pi)       # turned around
     assert not contains(1.0, 0.0, heading=math.pi)
-    # In the sector, the point comes back in polar form about the heading.
-    r, bearing = sector_polar(0.0, 2.0, 4.0, half, math.pi / 4)
-    assert r == 2.0 and math.isclose(bearing, math.pi / 4)
 
 
 def test_sector_validation():
