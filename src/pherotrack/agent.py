@@ -194,27 +194,35 @@ class AgentBrain:
         return in_x[:, None] & in_y[None, :]
 
     def _pheromone_waypoint(self, shift, own_pos):
+        """The carried waypoint, shifted with the agent, unless it is within
+        ``q_star``, out of the search ball, outside the walls or its map
+        value has risen; then a fresh least-weighted cell inside the walls.
+        """
         cfg = self.cfg
         deposits = self._all_pheromones()
-        if self.carried is not None and deposits.delta_only():
-            # Cheap recompute test without materializing the raster.
+        grid = None
+        if self.carried is not None:
             wp = self.carried[0] + shift
             norm = math.hypot(wp[0], wp[1])
-            value = ph.pheromone_value_at(
-                wp, deposits.positions, deposits.weights,
-                cfg.pher_cfg.footprint_radius, cfg.grid_geom)
-            if (norm >= cfg.q_star and norm <= cfg.grid_geom.radius
-                    and self._in_domain(wp, own_pos)
-                    and value <= self.carried[1] + ph.ARGMIN_TOL):
-                self.carried = (wp, value)
-                return wp
+            if cfg.q_star <= norm <= cfg.grid_geom.radius \
+                    and self._in_domain(wp, own_pos):
+                # Delta deposits are valued without building the raster.
+                if deposits.delta_only():
+                    value = ph.pheromone_value_at(
+                        wp, deposits.positions, deposits.weights,
+                        cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+                else:
+                    grid = self.pheromone_map(deposits)
+                    value = grid.value_at(wp)
+                if value <= self.carried[1] + ph.ARGMIN_TOL:
+                    self.carried = (wp, value)
+                    return wp
 
-        wp, w = ph.exploration_waypoint(self.pheromone_map(deposits),
-                                        self.carried, shift,
-                                        cfg.grid_geom.radius, cfg.q_star,
-                                        self.rng, self._domain_mask(own_pos))
-        self.carried = (wp, w)
-        return wp
+        if grid is None:
+            grid = self.pheromone_map(deposits)
+        self.carried = ph.exploration_waypoint(grid, self.rng,
+                                               self._domain_mask(own_pos))
+        return self.carried[0]
 
     def _apply_negative_info(self, detections, heading, own_pos):
         """Inflate records contradicted by looking and not seeing.

@@ -107,8 +107,8 @@ class PheromoneConfig:
 class GridGeometry:
     """Square raster centered on the agent, covering B(0, radius).
 
-    The cell-center grids and ball masks are built on first use and shared
-    read-only by every caller.
+    The cell-center grids and the ball mask are built on first use and
+    shared read-only by every caller.
     """
 
     radius: float
@@ -118,7 +118,6 @@ class GridGeometry:
         self.n = int(math.ceil(2.0 * self.radius / self.cell_size))
         # Cell-center coordinates along one axis.
         self.coords = (np.arange(self.n) + 0.5) * self.cell_size - self.radius
-        self._ball_masks = {}
 
     def centers(self):
         return self._centers
@@ -128,16 +127,14 @@ class GridGeometry:
         xs, ys = np.meshgrid(self.coords, self.coords, indexing="ij")
         return _read_only(xs), _read_only(ys)
 
-    def in_ball_mask(self, r=None):
-        """Cells whose centers lie within ``r`` of the origin; ``r`` is the
-        grid radius when omitted and never exceeds it."""
-        r = self.radius if r is None else min(r, self.radius)
-        mask = self._ball_masks.get(r)
-        if mask is None:
-            xs, ys = self.centers()
-            mask = self._ball_masks[r] = _read_only(xs ** 2 + ys ** 2
-                                                    <= r ** 2)
-        return mask
+    def in_ball_mask(self):
+        """Cells whose centers lie within the grid radius of the origin."""
+        return self._in_ball_mask
+
+    @cached_property
+    def _in_ball_mask(self):
+        xs, ys = self.centers()
+        return _read_only(xs ** 2 + ys ** 2 <= self.radius ** 2)
 
     def index_of(self, point):
         # min(max(x, 0), n - 1) is np.clip's rule for one float, and int()
@@ -330,46 +327,23 @@ def pheromone_value_at(point, positions, weights, footprint_radius: float,
     return float(weights[hit].max()) if hit.any() else 0.0
 
 
-def exploration_waypoint(grid: PheromoneGrid, carried, shift, r_c: float,
-                         q_star: float, rng, valid=None):
-    """Exploration waypoint: head for the least-visited cell nearby.
+def exploration_waypoint(grid: PheromoneGrid, rng, valid=None):
+    """Exploration waypoint: a least-visited cell within the search ball.
 
-    ``carried`` is the previous (waypoint, stored weight) pair or None.  The
-    carried waypoint shifts with the agent and is kept unless the agent has
-    (nearly) reached it, the map value at it has risen above the stored
-    weight, or it drifted outside the search ball; then a fresh waypoint is
-    drawn uniformly among the minimum-weight cells within B(0, r_c).
+    Draws uniformly among the minimum-weight cells of B(0, r_c), the grid's
+    radius.  ``valid`` is an optional boolean cell mask restricting the
+    candidates (used to keep waypoints inside the physical domain); it is
+    ignored when it rules out every cell of the ball.
 
-    ``valid`` is an optional boolean cell mask restricting candidate cells
-    (used to keep waypoints inside the physical domain).
-
-    Returns (waypoint, stored weight).
+    Returns (waypoint, its weight).
     """
-    shift = np.asarray(shift, dtype=float).reshape(2)
-    recompute = carried is None
-    if not recompute:
-        wp = carried[0] + shift
-        norm = math.hypot(wp[0], wp[1])
-        if norm < q_star or norm > r_c:
-            recompute = True
-        elif valid is not None and not valid[grid.geometry.index_of(wp)]:
-            recompute = True
-        elif grid.value_at(wp) > carried[1] + ARGMIN_TOL:
-            recompute = True
-
-    if not recompute:
-        return wp, grid.value_at(wp)
-
     geom = grid.geometry
-    mask = geom.in_ball_mask(r_c)
-    if valid is not None:
+    mask = geom.in_ball_mask()
+    if valid is not None and (mask & valid).any():
         mask = mask & valid
-        if not mask.any():
-            mask = geom.in_ball_mask(r_c)
     vals = np.where(mask, grid.weights, np.inf)
     vmin = vals.min()
     ties = np.argwhere(vals <= vmin + ARGMIN_TOL)
     pick = ties[rng.integers(len(ties))]
     wp = np.array([geom.coords[pick[0]], geom.coords[pick[1]]])
     return wp, float(grid.weights[pick[0], pick[1]])
-

@@ -69,17 +69,13 @@ class NeighborTargetList:
     estimates into the local frame on demand.
     """
 
-    __slots__ = ("neighbor_id", "records", "rel_mean", "rel_cov",
-                 "last_rx_step")
+    __slots__ = ("records", "rel_mean", "rel_cov")
 
-    def __init__(self, neighbor_id: int, records: dict | None = None,
-                 rel_pos: GaussianEstimate | None = None,
-                 last_rx_step: int = -1):
-        self.neighbor_id = neighbor_id
+    def __init__(self, records: dict | None = None,
+                 rel_pos: GaussianEstimate | None = None):
         self.records = {} if records is None else records
         self.rel_mean, self.rel_cov = (None, None) if rel_pos is None \
             else to_flat(rel_pos)
-        self.last_rx_step = last_rx_step
 
     @property
     def rel_pos(self) -> GaussianEstimate | None:
@@ -151,7 +147,7 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
         heard_from.add(sender)
         nlist = neighbors.get(sender)
         if nlist is None:
-            nlist = neighbors[sender] = NeighborTargetList(sender)
+            nlist = neighbors[sender] = NeighborTargetList()
         nlist.records = {r.target_id: r.copy() for r in records}
         if nlist.rel_mean is None:
             nlist.rel_mean, nlist.rel_cov = to_flat(rel_meas)
@@ -159,7 +155,6 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
             predicted = propagate(nlist.rel_pos, shift,
                                   np.array(g).reshape(2, 2))
             nlist.rel_mean, nlist.rel_cov = to_flat(fuse(predicted, rel_meas))
-        nlist.last_rx_step = step
 
     # Silent neighbors: dead-reckon their position, grow every uncertainty.
     for nid, nlist in neighbors.items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -123,6 +124,11 @@ class WorldConfig:
             )
         if not (0 < self.w_decay < 1 and 0 < self.w_floor < self.w_init):
             raise AssumptionError("pheromone parameters out of range")
+        counts = (self.n_agents, self.n_targets, self.rx_period)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in counts):
+            raise AssumptionError(
+                "n_agents, n_targets and rx_period must be integers")
         if self.rx_period < 1 or self.n_agents < 1:
             raise AssumptionError("counts and periods must be positive")
         if self.n_targets < 0:
@@ -142,10 +148,16 @@ class WorldConfig:
     def from_json(cls, path):
         with open(path) as f:
             params = json.load(f)
+        if not isinstance(params, dict):
+            raise AssumptionError(f"{path}: config must be a JSON object")
         unknown = set(params) - {f.name for f in fields(cls)}
         if unknown:
             raise AssumptionError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**params)
+        try:
+            return cls(**params)
+        except TypeError as err:
+            raise AssumptionError(f"{path}: mistyped config value: {err}") \
+                from err
 
 
 def sim_2d_preset(**overrides) -> WorldConfig:

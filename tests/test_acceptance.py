@@ -225,7 +225,7 @@ def test_criterion_6e_exploration_waypoint_minimality():
     for _ in range(1000):
         weights = rng.uniform(0.0, 35.0, size=(geom.n, geom.n))
         grid = PheromoneGrid(geom, weights)
-        wp, w = exploration_waypoint(grid, None, np.zeros(2), 12.0, 0.5, rng)
+        wp, w = exploration_waypoint(grid, rng)
         bad += w > weights[mask].min() + ARGMIN_TOL
     check("6e", bad == 0,
           f"recomputed waypoint attains the exhaustive in-ball minimum on "

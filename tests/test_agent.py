@@ -209,6 +209,81 @@ def test_exploration_waypoint_stays_in_domain():
         assert -0.26 <= goal[1] <= 30.26
 
 
+# -- the carried exploration waypoint, on both pheromone map paths -----------
+
+# Deposit covariances that put the map on the delta-kernel path (stamped
+# disks) and on the diffused path (odometry noise).
+MAP_PATHS = {"delta": np.zeros((2, 2)), "diffused": 0.01 * np.eye(2)}
+
+
+def next_waypoint(cov, carried, shift=(0.0, 0.0), own_pos=(15.0, 15.0),
+                  deposits=((-3.0, -3.0, 1.0),)):
+    """One exploration waypoint of a brain on a 4 bl map that carries
+    ``carried`` = (waypoint, weight) and holds ``deposits`` (x, y, weight),
+    each with covariance ``cov``.  Returns (brain, waypoint)."""
+    brain = make_brain(grid_geom=GridGeometry(4.0, 0.25),
+                       pher_cfg=PheromoneConfig(footprint_radius=0.5))
+    brain.own_pheromones = ph.PheromoneList(1, np.array(
+        [(x, y, *cov.ravel(), w) for x, y, w in deposits]))
+    brain.carried = (np.array(carried[0]), carried[1])
+    wp = brain._pheromone_waypoint(np.array(shift), np.array(own_pos))
+    assert brain.carried[0] is wp
+    return brain, wp
+
+
+def is_fresh_draw(brain, wp):
+    """Whether ``wp`` is a least-weighted cell center, as every fresh draw
+    is and no carried waypoint in these tests is.  (FFT round-off leaves
+    values within ARGMIN_TOL of zero on a diffused map.)"""
+    geom = brain.cfg.grid_geom
+    i, j = geom.index_of(wp)
+    return wp.tolist() == [geom.coords[i], geom.coords[j]] \
+        and brain.carried[1] <= ph.ARGMIN_TOL
+
+
+def test_carried_waypoint_shifts_until_reached():
+    for path, cov in MAP_PATHS.items():
+        brain, wp = next_waypoint(cov, ([2.0, 0.0], 0.0), shift=(-0.5, 0.0))
+        assert wp.tolist() == [1.5, 0.0] and brain.carried[1] == 0.0, path
+        # Within q_star of the goal: a fresh waypoint is drawn.
+        brain, wp = next_waypoint(cov, ([0.6, 0.0], 0.0), shift=(-0.4, 0.0))
+        assert is_fresh_draw(brain, wp), path
+
+
+def test_carried_waypoint_redrawn_when_value_rises_or_ball_left():
+    for path, cov in MAP_PATHS.items():
+        # A value that has not risen above the stored weight keeps it.
+        _, wp = next_waypoint(cov, ([2.0, 0.0], 5.0),
+                              deposits=((2.0, 0.0, 5.0),))
+        assert wp.tolist() == [2.0, 0.0], path
+        # The map value at the carried point rose above the stored weight.
+        brain, wp = next_waypoint(cov, ([2.0, 0.0], 0.0),
+                                  deposits=((2.0, 0.0, 5.0),))
+        assert is_fresh_draw(brain, wp), path
+        # The carried waypoint drifted out of the search ball...
+        brain, wp = next_waypoint(cov, ([3.9, 0.0], 0.0), shift=(0.5, 0.0))
+        assert is_fresh_draw(brain, wp), path
+        assert math.hypot(*wp) <= 4.0
+        # ... or out of the walls.
+        brain, wp = next_waypoint(cov, ([0.9, 0.0], 0.0), shift=(0.2, 0.0),
+                                  own_pos=(29.0, 15.0))
+        assert is_fresh_draw(brain, wp) and 29.0 + wp[0] <= 30.0, path
+
+
+def test_carried_waypoint_wall_rule_same_on_both_map_paths():
+    # The wall test takes the waypoint's exact point, not its cell's center,
+    # whichever way the map is built.  The cell holding x = 2.0 to 2.25 has
+    # its center at 2.125.
+    for path, cov in MAP_PATHS.items():
+        # Inside the walls (x = 30.0), in a cell centered outside (30.125).
+        _, wp = next_waypoint(cov, ([2.0, 0.0], 0.0), own_pos=(28.0, 15.0))
+        assert wp.tolist() == [2.0, 0.0], path
+        # Outside the walls (x = 30.04), in a cell centered inside (29.925).
+        brain, wp = next_waypoint(cov, ([2.24, 0.0], 0.0),
+                                  own_pos=(27.8, 15.0))
+        assert is_fresh_draw(brain, wp), path
+
+
 def _np_clip_pd_control(wp, prev, u_max):
     """Reference: the PD law with np.clip, as the clamp was first written."""
     bearing = math.atan2(wp[1], wp[0])

@@ -401,6 +401,20 @@ def test_cli_config_failing_the_gate_is_usage_error(tmp_path, capsys):
     err = cli_usage_error(capsys, "--config", str(path),
                           "--out", str(tmp_path / "out"))
     assert "r_s > r_c" in err
+    # Wrongly typed files and values are usage errors too.
+    for payload, reason in (
+            ('5', "must be a JSON object"),
+            ('{"n_agents": "six"}', "must be integers"),
+            ('{"domain": 5}', "mistyped config value"),
+            ('{"r_c": null}', "mistyped config value"),
+            ('{"n_agents": 2.5}', "must be integers"),
+            ('{"rx_period": 1.5}', "must be integers"),
+            ('{"n_targets": true}', "must be integers")):
+        path.write_text(payload)
+        err = cli_usage_error(capsys, "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+        assert reason in err, payload
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):

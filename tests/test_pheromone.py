@@ -248,42 +248,11 @@ def test_waypoint_minimality_over_randomized_maps():
     for _ in range(1000):
         weights = rng.uniform(0.0, 35.0, size=(geom.n, geom.n))
         grid = PheromoneGrid(geom, weights)
-        wp, w = exploration_waypoint(grid, None, ZERO2, 12.0, 0.5, rng)
+        wp, w = exploration_waypoint(grid, rng)
         vmin = weights[mask].min()
         assert w <= vmin + ARGMIN_TOL
         assert grid.value_at(wp) == w
         assert math.hypot(wp[0], wp[1]) <= 12.0 + geom.cell_size
-
-
-def test_waypoint_carried_shifts_until_reached():
-    geom = GridGeometry(4.0, 0.25)
-    grid = PheromoneGrid(geom, np.zeros((geom.n, geom.n)))
-    rng = np.random.default_rng(0)
-    carried = (np.array([2.0, 0.0]), 0.0)
-    wp, w = exploration_waypoint(grid, carried, [-0.5, 0.0], 4.0, 0.5, rng)
-    assert np.allclose(wp, [1.5, 0.0])
-    # Within q_star of the goal: a fresh waypoint is drawn.
-    near = (np.array([0.6, 0.0]), 0.0)
-    wp2, _ = exploration_waypoint(grid, near, [-0.4, 0.0], 4.0, 0.5, rng)
-    assert not np.allclose(wp2, [0.2, 0.0])
-
-
-def test_waypoint_recomputed_when_value_rises_or_ball_left():
-    geom = GridGeometry(4.0, 0.25)
-    weights = np.zeros((geom.n, geom.n))
-    grid = PheromoneGrid(geom, weights)
-    rng = np.random.default_rng(1)
-    # Map value at the carried cell rose above the stored weight.
-    i, j = geom.index_of([2.0, 0.0])
-    weights[i, j] = 5.0
-    wp, w = exploration_waypoint(grid, (np.array([2.0, 0.0]), 0.0),
-                                 ZERO2, 4.0, 0.5, rng)
-    assert w == 0.0
-    assert not np.allclose(wp, [2.0, 0.0])
-    # Carried waypoint drifted outside the search ball.
-    wp2, _ = exploration_waypoint(grid, (np.array([3.9, 0.0]), 0.0),
-                                  [0.5, 0.0], 4.0, 0.5, rng)
-    assert math.hypot(wp2[0], wp2[1]) <= 4.0 + geom.cell_size
 
 
 def test_waypoint_uniform_tie_break_hits_all_minima():
@@ -297,7 +266,7 @@ def test_waypoint_uniform_tie_break_hits_all_minima():
     rng = np.random.default_rng(2)
     seen = set()
     for _ in range(100):
-        wp, w = exploration_waypoint(grid, None, ZERO2, 1.0, 0.1, rng)
+        wp, w = exploration_waypoint(grid, rng)
         assert w == 0.0
         seen.add(geom.index_of(wp))
     assert seen == set(lows)
@@ -312,13 +281,7 @@ def test_waypoint_valid_mask_restricts_candidates():
     valid[i, j] = False
     grid = PheromoneGrid(geom, weights)
     rng = np.random.default_rng(3)
-    wp, w = exploration_waypoint(grid, None, ZERO2, 2.0, 0.1, rng,
-                                 valid=valid)
-    assert geom.index_of(wp) != (i, j)
-    assert w == 1.0
-    # A carried waypoint in a ruled-out cell is redrawn as well.
-    wp, w = exploration_waypoint(grid, (np.array([-1.0, 0.0]), 0.0), ZERO2,
-                                 2.0, 0.1, rng, valid)
+    wp, w = exploration_waypoint(grid, rng, valid=valid)
     assert geom.index_of(wp) != (i, j)
     assert w == 1.0
 
@@ -429,16 +392,13 @@ def test_geometry_caches_are_shared_and_read_only():
     assert geom.centers()[0] is xs
     want_x, want_y = np.meshgrid(geom.coords, geom.coords, indexing="ij")
     assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
-    for r in (3.0, 1.7, 99.0):
-        mask = geom.in_ball_mask(r)
-        assert geom.in_ball_mask(r) is mask
-        rr = min(r, geom.radius)
-        assert np.array_equal(mask, want_x ** 2 + want_y ** 2 <= rr ** 2)
-    assert geom.in_ball_mask() is geom.in_ball_mask(3.0)
+    mask = geom.in_ball_mask()
+    assert geom.in_ball_mask() is mask
+    assert np.array_equal(mask, want_x ** 2 + want_y ** 2 <= 3.0 ** 2)
     with pytest.raises(ValueError):
         xs[0, 0] = 1.0
     with pytest.raises(ValueError):
-        geom.in_ball_mask()[0, 0] = False
+        mask[0, 0] = False
 
 
 def reference_update(own, neighbors, rx, shift, sigma, cfg):

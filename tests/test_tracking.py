@@ -105,7 +105,7 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
 def test_silent_neighbor_dead_reckoned_and_inflated():
     c = cfg()
     neighbors = {2: NeighborTargetList(
-        2, {3: TargetRecord(3, est([1.0, 0.0], 0.2))},
+        {3: TargetRecord(3, est([1.0, 0.0], 0.2))},
         rel_pos=est([5.0, 0.0], 0.5))}
     update_storage(LocalTargetList(), neighbors, [], [], [0.3, 0.0],
                    0.01 * np.eye(2), c)
@@ -133,10 +133,10 @@ def local_with(entries):
     return lst
 
 
-def neighbor_with(nid, entries, rel_var=0.1):
+def neighbor_with(entries, rel_var=0.1):
     return NeighborTargetList(
-        nid, {tid: TargetRecord(tid, est([1.0, 0.0], var))
-              for tid, var in entries.items()},
+        {tid: TargetRecord(tid, est([1.0, 0.0], var))
+         for tid, var in entries.items()},
         rel_pos=est([2.0, 0.0], rel_var))
 
 
@@ -154,22 +154,22 @@ def test_select_strictly_lowest_holder_wins():
     # on the books agent 1 falls through to phase 2 and... target 5 is
     # claimed, so it explores.
     local = local_with({5: 0.5})
-    neighbors = {2: neighbor_with(2, {5: 0.2})}
+    neighbors = {2: neighbor_with({5: 0.2})}
     assert select_target(1, local, neighbors) == 0
 
 
 def test_select_tie_breaks_to_lower_agent_id():
     local = local_with({5: 0.5})
-    neighbors = {2: neighbor_with(2, {5: 0.5})}   # identical det
+    neighbors = {2: neighbor_with({5: 0.5})}   # identical det
     assert select_target(1, local, neighbors) == 5
-    assert select_target(3, local, {2: neighbor_with(2, {5: 0.5})}) == 0
+    assert select_target(3, local, {2: neighbor_with({5: 0.5})}) == 0
 
 
 def test_select_phase2_picks_cheapest_unclaimed():
     # Neighbor 2 wins target 5; target 6 is unclaimed and only known through
     # the neighbor, so agent 1 adopts it through the lifted entropy.
     local = LocalTargetList()
-    neighbors = {2: neighbor_with(2, {5: 0.2, 6: 0.3})}
+    neighbors = {2: neighbor_with({5: 0.2, 6: 0.3})}
     assert select_target(1, local, neighbors) == 6
 
 
@@ -177,7 +177,7 @@ def test_select_each_agent_takes_at_most_one():
     # Agent 1's own list is strictly sharpest for both targets; phase 1 gives
     # it only the best one and the other stays for the neighbor's phase 2.
     local = local_with({5: 0.1, 6: 0.2})
-    neighbors = {2: neighbor_with(2, {5: 0.4, 6: 0.4})}
+    neighbors = {2: neighbor_with({5: 0.4, 6: 0.4})}
     assert select_target(1, local, neighbors) == 5
 
 
@@ -218,7 +218,7 @@ def test_select_consistent_across_agents_with_shared_information():
             local = local_with({
                 t + 1: dets[aid - 1, t] for t in range(n_targets)})
             neighbors = {
-                other: neighbor_with(other, {
+                other: neighbor_with({
                     t + 1: dets[other - 1, t] for t in range(n_targets)},
                     rel_var=0.0)
                 for other in range(1, n_agents + 1) if other != aid
@@ -231,7 +231,7 @@ def test_select_consistent_across_agents_with_shared_information():
 def test_combined_estimate_matches_manual_fusion():
     local = LocalTargetList()
     local.records[4] = TargetRecord(4, est([1.0, 0.0], 0.2))
-    nl = NeighborTargetList(2, {4: TargetRecord(4, est([0.5, 0.5], 0.3))},
+    nl = NeighborTargetList({4: TargetRecord(4, est([0.5, 0.5], 0.3))},
                             rel_pos=est([0.4, -0.4], 0.1))
     got = combined_estimate([(local, {2: nl})], [4])[(0, 4)]
     lifted = transform_neighbor_estimate(nl.records[4].estimate, nl.rel_pos)
@@ -245,7 +245,7 @@ def test_combined_estimate_unknown_pair_absent():
     assert combined_estimate([(LocalTargetList(), {})], [9]) == {}
     local = LocalTargetList({1: TargetRecord(1, est([1.0, 0.0], 0.2))})
     # Agent 1 knows target 2 only through a neighbor without a position.
-    blind = NeighborTargetList(5, {2: TargetRecord(2, est([0.0, 1.0], 0.1))})
+    blind = NeighborTargetList({2: TargetRecord(2, est([0.0, 1.0], 0.1))})
     got = combined_estimate([(local, {}), (LocalTargetList(), {5: blind})],
                             [1, 2, 3])
     assert set(got) == {(0, 1)}
@@ -273,7 +273,7 @@ def _random_holdings(rng, n_agents, target_ids):
             records = {t: TargetRecord(t, _random_estimate(rng))
                        for t in target_ids if rng.random() < 0.6}
             rel_pos = _random_estimate(rng) if rng.random() < 0.7 else None
-            neighbors[nid] = NeighborTargetList(nid, records, rel_pos)
+            neighbors[nid] = NeighborTargetList(records, rel_pos)
         holdings.append((local, neighbors))
     return holdings
 
@@ -323,7 +323,7 @@ def test_combined_estimate_bit_identical_to_sequential_fusion():
 
 def test_combined_estimate_singular_covariance_raises():
     local = LocalTargetList({1: TargetRecord(1, est([1.0, 0.0], 0.2))})
-    nl = NeighborTargetList(2, {1: TargetRecord(
+    nl = NeighborTargetList({1: TargetRecord(
         1, GaussianEstimate([0.0, 0.0], np.zeros((2, 2))))},
         rel_pos=GaussianEstimate([0.5, 0.5], np.zeros((2, 2))))
     with pytest.raises(SingularCovarianceError):
@@ -573,8 +573,9 @@ def _materialize(spec, new):
     neighbors = {}
     for nid, (recs, rel) in neighbor_spec.items():
         rel_pos = None if rel is None else _spec_estimate(*rel)
-        cls = NeighborTargetList if new else RefNeighbor
-        neighbors[nid] = cls(nid, _build(recs, new), rel_pos)
+        records = _build(recs, new)
+        neighbors[nid] = NeighborTargetList(records, rel_pos) if new \
+            else RefNeighbor(nid, records, rel_pos)
     return local, neighbors
 
 
@@ -594,7 +595,6 @@ def _assert_same_holding(new, ref):
     for nid, nl in new[1].items():
         want = ref[1][nid]
         _assert_same_records(nl.records, want.records)
-        assert nl.last_rx_step == want.last_rx_step
         if want.rel_pos is None:
             assert nl.rel_mean is None and nl.rel_cov is None
         else:
