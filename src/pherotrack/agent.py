@@ -362,11 +362,9 @@ class AgentBrain:
                 waypoint = goal - viewpoint
             face = goal
             self.carried = None
-        elif self.explorer is not None:
-            waypoint = self.explorer(shift, own_pos)
-            face = waypoint
         else:
-            waypoint = self._pheromone_waypoint(shift, own_pos)
+            explore = self.explorer or self._pheromone_waypoint
+            waypoint = explore(shift, own_pos)
             face = waypoint
 
         to_body = rot2(-heading)

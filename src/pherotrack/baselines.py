@@ -1,6 +1,6 @@
-"""Comparison algorithms: Levy-walk search, local-greedy selection,
-centralized auction assignment and its team-wide oracle, and a simplified
-anti-flocking search (the harness wraps both searches as explorers).
+"""Comparison algorithms: the baseline :class:`Explorer` with its Levy-walk
+and anti-flocking draws, local-greedy selection, and centralized auction
+assignment with its team-wide oracle.
 
 These deliberately get capabilities the proposed stack does not have (the
 auction oracle sees every agent's table; anti-flocking gets global positions
@@ -42,23 +42,36 @@ def levy_step_length(step_max: float, rng) -> float:
     return (lo - u * (lo - hi)) ** (-1.0 / a)
 
 
-def levy_waypoint(carried, q_star: float, step_max: float, rng, own_pos,
-                  domain):
-    """Levy-walk exploration waypoint in the local frame.
+class Explorer:
+    """Baseline search for one agent: ``explorer(shift, own_pos) -> local
+    waypoint``.
 
-    The carried waypoint (the current leg's endpoint relative to the agent
-    at ``own_pos``) is kept until the agent gets within ``q_star`` of it,
-    then replaced by a fresh leg with Pareto length and uniform direction,
-    its endpoint clamped into the domain.  A carried endpoint that odometry
-    drift has pushed through a wall triggers a redraw instead.
+    The leg endpoint is kept in the world frame: an agent may track for a
+    while between explore calls, and a relative waypoint not shifted during
+    that gap comes back stale (it can even point through a wall, leaving the
+    agent pinned against it).  It is kept until the agent is within
+    ``q_star`` of it or ``stale(endpoint)`` holds; then ``draw(own_pos)``
+    gives the next local waypoint.
     """
-    if carried is not None:
-        # Odometry drift can walk the carried endpoint through a wall,
-        # where it becomes unreachable; redraw instead of pushing on it.
-        tgt = np.asarray(own_pos, dtype=float) + carried
-        inside = (0.0 <= tgt[0] <= domain[0] and 0.0 <= tgt[1] <= domain[1])
-        if inside and math.hypot(carried[0], carried[1]) >= q_star:
-            return carried
+
+    def __init__(self, q_star: float, draw, stale=None):
+        self.q_star = q_star
+        self.draw = draw
+        self.stale = stale
+        self.endpoint = None
+
+    def __call__(self, shift, own_pos):
+        wp = None if self.endpoint is None else self.endpoint - own_pos
+        if wp is None or math.hypot(wp[0], wp[1]) < self.q_star or (
+                self.stale is not None and self.stale(own_pos + wp)):
+            wp = self.draw(own_pos)
+        self.endpoint = own_pos + wp
+        return wp
+
+
+def levy_waypoint(step_max: float, rng, own_pos, domain):
+    """A fresh Levy leg in the local frame: Pareto length, uniform
+    direction, its endpoint clamped into the domain."""
     length = levy_step_length(step_max, rng)
     angle = rng.uniform(0.0, 2.0 * np.pi)
     wp = length * np.array([math.cos(angle), math.sin(angle)])

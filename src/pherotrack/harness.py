@@ -20,8 +20,8 @@ import numpy as np
 
 from . import world as wd
 from .agent import AgentBrain, AgentConfig
-from .baselines import (AuctionOracle, VisitedMap, antiflocking_waypoint,
-                        levy_waypoint)
+from .baselines import (AuctionOracle, Explorer, VisitedMap,
+                        antiflocking_waypoint, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
 from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
 from .tracking import TrackerConfig, combined_estimate
@@ -53,8 +53,9 @@ class ExperimentSpec:
     stop_when_tracked: bool = True
 
     def __post_init__(self):
-        if self.runs < 1 or self.max_steps < 1:
-            raise ValueError("need runs >= 1 and max_steps >= 1")
+        if self.runs < 1 or self.max_steps < 1 or self.base_seed < 0:
+            raise ValueError("need runs >= 1, max_steps >= 1 and "
+                             "base_seed >= 0")
         if self.search not in SEARCH_ALGOS:
             raise ValueError(f"unknown search algorithm {self.search!r}")
         if self.assign not in ASSIGN_ALGOS:
@@ -109,52 +110,6 @@ def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
     return (lambda r, phi: interpolate_cov(table, r, phi)), table
 
 
-# Baseline explorers, ``explorer(shift, own_pos) -> local waypoint``, keep
-# world-frame endpoints: an agent may track for a while between explore
-# calls, and a relative waypoint not shifted during that gap comes back stale
-# (it can even point through a wall, leaving the agent pinned against it).
-
-
-class LevyExplorer:
-    """Levy-walk search for one agent (see :func:`levy_waypoint`)."""
-
-    def __init__(self, cfg: wd.WorldConfig, rng):
-        self.cfg = cfg
-        self.step_max = max(cfg.domain_diagonal(), 2.0)
-        self.rng = rng
-        self.endpoint = None
-
-    def __call__(self, shift, own_pos):
-        carried = None if self.endpoint is None else self.endpoint - own_pos
-        wp = levy_waypoint(carried, self.cfg.q_star, self.step_max, self.rng,
-                           own_pos, self.cfg.domain)
-        self.endpoint = own_pos + wp
-        return wp
-
-
-class AntiflockingExplorer:
-    """Anti-flocking search on a shared map (:func:`antiflocking_waypoint`)."""
-
-    def __init__(self, cfg: wd.WorldConfig, vmap: VisitedMap, rng):
-        self.cfg = cfg
-        self.vmap = vmap
-        self.rng = rng
-        self.endpoint = None
-
-    def __call__(self, shift, own_pos):
-        wp = None if self.endpoint is None else self.endpoint - own_pos
-        if wp is not None:
-            reached = math.hypot(wp[0], wp[1]) < self.cfg.q_star
-            stale = self.vmap.is_visited_at(own_pos + wp)
-            if reached or stale:
-                wp = None
-        if wp is None:
-            wp = antiflocking_waypoint(self.vmap, own_pos, self.rng,
-                                       gain_radius=self.cfg.r_s)
-        self.endpoint = own_pos + wp
-        return wp
-
-
 def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
     """Brains, detection covariance callable, and visited map to mark.  The
     brains share one :class:`AgentConfig`, so its viewpoint is found once."""
@@ -174,15 +129,20 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
         domain=cfg.domain,
     )
     vmap = VisitedMap(cfg.domain) if search == "antiflocking" else None
+    step_max = max(cfg.domain_diagonal(), 2.0)
     brains = []
     for i in range(cfg.n_agents):
         rng = wd.agent_rng(cfg, i)
+        # ``rng=rng`` binds this agent's stream.  ``levy_waypoint`` is looked
+        # up here at each draw, where the perfbench tracer hooks it.
+        explorer = None
         if search == "levy":
-            explorer = LevyExplorer(cfg, rng)
+            explorer = Explorer(cfg.q_star, lambda p, rng=rng: levy_waypoint(
+                step_max, rng, p, cfg.domain))
         elif search == "antiflocking":
-            explorer = AntiflockingExplorer(cfg, vmap, rng)
-        else:
-            explorer = None
+            explorer = Explorer(
+                cfg.q_star, lambda p, rng=rng: antiflocking_waypoint(
+                    vmap, p, rng, gain_radius=cfg.r_s), vmap.is_visited_at)
         brains.append(AgentBrain(i + 1, agent_cfg, rng, explorer))
     return brains, cov_fn, vmap
 

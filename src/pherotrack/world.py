@@ -20,6 +20,11 @@ from .estimation import EPS_INV, EYE2, GaussianEstimate
 from .sensing import AnalyticCovMap, sector_polar, wrap_angle
 
 
+# Diagonal added before every Cholesky factor of a noise covariance, so
+# that a singular but PSD one still factors.
+CHOL_JITTER = 1e-15
+
+
 class AssumptionError(ValueError):
     """A world configuration violates one of the standing assumptions."""
 
@@ -100,12 +105,21 @@ class WorldConfig:
             raise AssumptionError("turn-rate limit u_max[1] must be positive")
         if self.sigma_bar <= 0:
             raise AssumptionError("target deletion threshold must be positive")
-        # Symmetric 2x2 PSD: nonnegative diagonal and determinant.
-        (a, b), (c, d) = self.r_dp.tolist()
-        if abs(b - c) > 1e-12 or min(a, d, a * d - b * c) < -1e-12:
-            raise AssumptionError(
-                "displacement noise r_dp must be symmetric positive "
-                "semi-definite")
+        # Noise covariances: exactly symmetric, and factored as make_state
+        # factors them.
+        for name in ("q_k", "q_bar", "r_dp"):
+            cov = getattr(self, name)
+            try:
+                if cov[0, 1] != cov[1, 0]:
+                    raise np.linalg.LinAlgError
+                np.linalg.cholesky(cov + EYE2 * CHOL_JITTER)
+            except np.linalg.LinAlgError:
+                raise AssumptionError(f"noise covariance {name} must be "
+                                      "symmetric positive semi-definite") \
+                    from None
+        if not self.q_star > 0:
+            raise AssumptionError("waypoint-reached radius q_star must be "
+                                  "positive")
         if self.r_s > self.r_c:
             raise AssumptionError(
                 "sensing-communication relation violated: r_s > r_c"
@@ -234,9 +248,9 @@ def make_state(cfg: WorldConfig) -> WorldState:
         target_rngs=[_stream(cfg.seed, 1, k) for k in range(cfg.n_targets)],
         sense_rngs=[_stream(cfg.seed, 2, i) for i in range(cfg.n_agents)],
         channel_rngs=[_stream(cfg.seed, 3, i) for i in range(cfg.n_agents)],
-        q_chol=np.linalg.cholesky(cfg.q_k + EYE2 * 1e-15),
+        q_chol=np.linalg.cholesky(cfg.q_k + EYE2 * CHOL_JITTER),
         dp_chol=None if np.abs(cfg.r_dp).max() <= 0
-        else np.linalg.cholesky(cfg.r_dp + EYE2 * 1e-15),
+        else np.linalg.cholesky(cfg.r_dp + EYE2 * CHOL_JITTER),
     )
 
 

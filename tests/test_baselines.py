@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN,
+from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN, Explorer,
                                   NoFeasibleAssignmentError, VisitedMap,
                                   antiflocking_waypoint, auction_assign,
                                   levy_step_length, levy_waypoint,
@@ -49,50 +49,86 @@ def test_levy_step_distribution_matches_truncated_pareto():
         assert abs(got - want) < 0.01
 
 
-def test_levy_carried_waypoint_shifts_until_reached():
-    # The leg endpoint stays put in the world while the agent walks to it:
-    # the carried waypoint, taken relative to the agent, shifts each step.
+def test_levy_draw_is_a_clamped_leg():
     rng = np.random.default_rng(2)
-    end = np.array([17.0, 15.0])
-    for x in (15.0, 15.5, 16.0, 16.4):
-        own = np.array([x, 15.0])
-        carried = end - own
-        assert levy_waypoint(carried, 0.5, STEP_MAX, rng, own, DOMAIN) \
-            is carried
-    # Within q_star: redraw.
-    own = np.array([16.6, 15.0])
-    wp = levy_waypoint(end - own, 0.5, STEP_MAX, rng, own, DOMAIN)
-    assert not np.allclose(wp, end - own)
-    assert LEVY_STEP_MIN <= math.hypot(wp[0], wp[1]) <= STEP_MAX
+    own = np.array([15.0, 15.0])
+    for _ in range(200):
+        wp = levy_waypoint(STEP_MAX, rng, own, DOMAIN)
+        # A leg this far from the walls is never clamped.
+        if np.all(np.abs(wp) < 15.0):
+            assert LEVY_STEP_MIN <= math.hypot(wp[0], wp[1]) <= STEP_MAX
 
 
 def test_levy_endpoint_clamped_into_domain():
     rng = np.random.default_rng(3)
     own = np.array([1.0, 29.0])
     for _ in range(500):
-        wp = levy_waypoint(None, 0.5, STEP_MAX, rng, own, DOMAIN)
+        wp = levy_waypoint(STEP_MAX, rng, own, DOMAIN)
         end = own + wp
         assert 0.0 <= end[0] <= DOMAIN[0]
         assert 0.0 <= end[1] <= DOMAIN[1]
 
 
-def test_levy_carried_endpoint_outside_domain_triggers_redraw():
-    rng = np.random.default_rng(4)
-    own = np.array([0.5, 0.5])
-    carried = np.array([-2.0, 0.0])      # endpoint at (-1.5, 0.5): outside
-    wp = levy_waypoint(carried, 0.5, STEP_MAX, rng, own, DOMAIN)
-    end = own + wp
-    assert 0.0 <= end[0] <= 30.0 and 0.0 <= end[1] <= 30.0
-
-
 def test_levy_walker_is_isolated_from_pheromone_state():
     # The walker must not peek at any coverage map: its only inputs are its
-    # own carried leg, its parameters, and the wall geometry.
+    # parameters, its position and the wall geometry.
     params = inspect.signature(levy_waypoint).parameters
-    assert set(params) == {"carried", "q_star", "step_max", "rng",
-                           "own_pos", "domain"}
+    assert set(params) == {"step_max", "rng", "own_pos", "domain"}
     import pherotrack.baselines as baselines
     assert "pheromone" not in inspect.getsource(baselines.levy_waypoint)
+
+
+# -- the baseline explorer ---------------------------------------------------
+
+
+class QueuedDraw:
+    """A draw that returns queued local waypoints and records where it was
+    called from."""
+
+    def __init__(self, *waypoints):
+        self.waypoints = [np.array(w, dtype=float) for w in waypoints]
+        self.calls = []
+
+    def __call__(self, own_pos):
+        self.calls.append(own_pos.tolist())
+        return self.waypoints.pop(0)
+
+
+def test_explorer_keeps_world_frame_endpoint_until_reached():
+    draw = QueuedDraw([2.0, 0.0], [0.0, 3.0])
+    explore = Explorer(0.5, draw)
+    assert np.allclose(explore(None, np.array([15.0, 15.0])), [2.0, 0.0])
+    # A gap in explore calls (the agent tracked and moved meanwhile): the
+    # endpoint (17, 15) stays put in the world, and nothing is drawn.
+    for own in ([16.0, 14.0], [15.5, 17.0], [16.4, 15.2]):
+        wp = explore(None, np.array(own))
+        assert np.allclose(np.array(own) + wp, [17.0, 15.0])
+    assert draw.calls == [[15.0, 15.0]]
+    # Within q_star of the endpoint: a redraw from where the agent is.
+    assert np.allclose(explore(None, np.array([16.7, 15.0])), [0.0, 3.0])
+    assert np.allclose(explore.endpoint, [16.7, 18.0])
+    assert draw.calls == [[15.0, 15.0], [16.7, 15.0]]
+
+
+def test_explorer_redraws_a_stale_endpoint():
+    visited = set()
+    tested = []
+
+    def stale(point):
+        tested.append(point.tolist())
+        return tuple(point.tolist()) in visited
+
+    draw = QueuedDraw([5.0, 0.0], [0.0, -4.0])
+    explore = Explorer(0.5, draw, stale)
+    explore(None, np.array([10.0, 10.0]))
+    assert tested == []                     # nothing to test on a first leg
+    explore(None, np.array([11.0, 10.0]))
+    assert len(draw.calls) == 1 and tested == [[15.0, 10.0]]
+    # Far from the endpoint, yet stale: redraw.
+    visited.add((15.0, 10.0))
+    wp = explore(None, np.array([12.0, 10.0]))
+    assert np.allclose(wp, [0.0, -4.0]) and len(draw.calls) == 2
+    assert np.allclose(explore.endpoint, [12.0, 6.0])
 
 
 # -- local greedy ------------------------------------------------------------

@@ -395,6 +395,12 @@ def test_cli_zero_runs_is_usage_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys):
+    err = cli_usage_error(capsys, "--seed", "-1", "--out", str(tmp_path))
+    assert "base_seed >= 0" in err
+    assert not os.listdir(tmp_path)
+
+
 def test_cli_config_failing_the_gate_is_usage_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"r_s": 13.0, "r_c": 12.0}')
@@ -409,7 +415,11 @@ def test_cli_config_failing_the_gate_is_usage_error(tmp_path, capsys):
             ('{"r_c": null}', "mistyped config value"),
             ('{"n_agents": 2.5}', "must be integers"),
             ('{"rx_period": 1.5}', "must be integers"),
-            ('{"n_targets": true}', "must be integers")):
+            ('{"n_targets": true}', "must be integers"),
+            ('{"q_k": [[0.001, 0.003], [0.003, 0.001]]}', "q_k must be"),
+            ('{"r_dp": [[1e-3, 0], [0, -1e-13]]}', "r_dp must be"),
+            ('{"q_bar": [[0.01, 0.5], [0.0, 0.01]]}', "q_bar must be"),
+            ('{"q_star": 0}', "q_star must be positive")):
         path.write_text(payload)
         err = cli_usage_error(capsys, "--config", str(path),
                               "--out", str(tmp_path / "out"))

@@ -66,6 +66,14 @@ def test_gate_rejects_non_psd_odometry_noise():
     WorldConfig(r_dp=((1e-3, 5e-4), (5e-4, 1e-3)))         # correlated is fine
 
 
+def test_gate_accepts_singular_noise_covariances():
+    # The gate's rule is make_state's: a Cholesky factor after its jitter,
+    # so a singular but PSD covariance passes and runs.
+    for ok in (dict(q_k=((0.004, 0.004), (0.004, 0.004))),
+               dict(r_dp=((1e-3, 0.0), (0.0, 0.0)))):
+        make_state(WorldConfig(**ok))
+
+
 def test_gate_rejects_negative_target_count():
     with pytest.raises(AssumptionError):
         WorldConfig(n_targets=-1)
