@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pheromone as ph
 from .baselines import local_greedy_select
-from .estimation import add2, add4, entropy, scaled_eye
+from .estimation import add2, add4, flat_entropy, scaled_eye
 from .sensing import (AnalyticCovMap, CalibrationTable, SectorFov,
                       best_viewpoint, rot2, sector_polar, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
@@ -264,10 +264,9 @@ class AgentBrain:
                 cfg.pher_cfg.footprint_radius, cfg.grid_geom)
             return value > cfg.pher_cfg.w_floor
 
-        holdings = [(self.local_targets.records, None)]
-        for nlist in self.neighbor_targets.values():
-            if nlist.rel_mean is not None:
-                holdings.append((nlist.records, nlist.rel_mean))
+        holdings = [(self.local_targets.records, None)] + [
+            (nlist.records, nlist.rel_mean)
+            for nlist in self.neighbor_targets.values()]
         for records, offset in holdings:
             for tid, rec in records.items():
                 if tid in det_ids:
@@ -342,11 +341,12 @@ class AgentBrain:
                 # to exploring until the external assignment catches up.
                 k_star = 0
         if k_star > 0:
-            exploit_entropy = entropy(est.cov)
+            mean, cov = est
+            exploit_entropy = flat_entropy(cov)
             # Anchor the best-viewpoint offset to the line of sight, not the
             # current heading: the park point must not rotate as the agent
             # turns, or chasing it becomes a limit cycle.
-            goal = np.asarray(self._clamper(own_pos)(est.mean.tolist()))
+            goal = np.asarray(self._clamper(own_pos)(mean))
             d = math.hypot(goal[0], goal[1])
             r_star = math.hypot(*cfg.viewpoint)
             if d <= r_star:

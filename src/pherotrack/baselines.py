@@ -243,7 +243,7 @@ def _team_auction(brains, known, prev):
                 best = flat_entropy(rec.cov)
             for nl in b.neighbor_targets.values():
                 nrec = nl.records.get(tid)
-                if nrec is not None and nl.rel_cov is not None:
+                if nrec is not None:
                     best = min(best,
                                flat_entropy(add4(nrec.cov, nl.rel_cov)))
             costs[bi, ki] = best

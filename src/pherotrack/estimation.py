@@ -132,26 +132,25 @@ def inv2(c, check=True):
     return out.reshape(c.shape)
 
 
-def fuse(a: GaussianEstimate, b: GaussianEstimate) -> GaussianEstimate:
-    """Information-form (error-ellipse) fusion of two independent estimates.
+def fuse(a_mean, a_cov, b_mean, b_cov):
+    """Information-form (error-ellipse) fusion of two independent estimates,
+    each a flat ``(mean, cov)`` pair; returns the fused pair.
 
     cov  = (A^-1 + B^-1)^-1
     mean = cov (A^-1 a + B^-1 b)
 
     The result's determinant never exceeds that of either input.
     """
-    (a00, a01), (a10, a11) = a.cov.tolist()
-    (b00, b01), (b10, b11) = b.cov.tolist()
-    _check_invertible(a00, a01, a10, a11)
-    ia = _inv_entries(a00, a01, a10, a11)
-    _check_invertible(b00, b01, b10, b11)
-    ib = _inv_entries(b00, b01, b10, b11)
-    c00, c01, c10, c11 = _inv_entries(ia[0] + ib[0], ia[1] + ib[1],
-                                      ia[2] + ib[2], ia[3] + ib[3])
-    cov = np.array(((c00, c01), (c10, c11)))
-    info = (np.array(((ia[0], ia[1]), (ia[2], ia[3]))) @ a.mean
-            + np.array(((ib[0], ib[1]), (ib[2], ib[3]))) @ b.mean)
-    return GaussianEstimate(cov @ info, cov)
+    _check_invertible(*a_cov)
+    ia = _inv_entries(*a_cov)
+    _check_invertible(*b_cov)
+    ib = _inv_entries(*b_cov)
+    cov = _inv_entries(ia[0] + ib[0], ia[1] + ib[1],
+                       ia[2] + ib[2], ia[3] + ib[3])
+    info = (np.array(((ia[0], ia[1]), (ia[2], ia[3]))) @ np.array(a_mean)
+            + np.array(((ib[0], ib[1]), (ib[2], ib[3]))) @ np.array(b_mean))
+    mean = np.array(((cov[0], cov[1]), (cov[2], cov[3]))) @ info
+    return tuple(mean.tolist()), cov
 
 
 def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
@@ -180,30 +179,16 @@ def fuse_informed(a_mean, a_cov, ib, ib_b):
     return np.matmul(cov, ia_a + ib_b)[..., 0], cov
 
 
-def propagate(e: GaussianEstimate, shift, growth) -> GaussianEstimate:
-    """Shift the mean and grow the covariance (prediction under agent motion).
-
-    ``shift`` is the frame shift p(t-1) - p(t) for quantities stored relative
-    to the moving agent; ``growth`` is the additive process-noise bound.
-    """
-    if not (type(shift) is np.ndarray and shift.dtype is _F64
-            and shift.shape == (2,)):
-        shift = np.asarray(shift, dtype=float).reshape(2)
-    if not (type(growth) is np.ndarray and growth.dtype is _F64
-            and growth.shape == (2, 2)):
-        growth = np.asarray(growth, dtype=float).reshape(2, 2)
-    return GaussianEstimate(e.mean + shift, e.cov + growth)
-
-
 def entropy(cov) -> float:
     """Scalar uncertainty of a covariance: its determinant (bl^4)."""
     (c00, c01), (c10, c11) = np.asarray(cov, dtype=float).tolist()
     return c00 * c11 - c01 * c10
 
 
-# Estimates held in bulk (target records, neighbor positions) keep their
-# mean as a tuple ``(x, y)`` and their covariance as the tuple of its entries
-# ``(c00, c01, c10, c11)``, all Python floats.  The helpers below give the
+# The tracker holds every estimate (target records, neighbor positions,
+# fused results) as a flat pair: its mean as a tuple ``(x, y)`` and its
+# covariance as the tuple of its entries ``(c00, c01, c10, c11)``, all
+# Python floats.  The helpers below give the
 # bits numpy's elementwise ops give on the same arrays; sums keep every
 # entry, zeros too, because -0.0 + 0.0 is +0.0.
 
@@ -223,6 +208,15 @@ def add4(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
+def propagate(mean, cov, shift, growth):
+    """Shift a mean and grow its covariance (prediction under agent motion).
+
+    ``shift`` is the frame shift p(t-1) - p(t) for quantities stored relative
+    to the moving agent; ``growth`` is the additive process-noise bound.
+    """
+    return add2(mean, shift), add4(cov, growth)
+
+
 def scaled_eye(s):
     """Flat ``s * EYE2``: its off-diagonal zeros are ``s * 0.0``."""
     return (s * 1.0, s * 0.0, s * 0.0, s * 1.0)
@@ -232,8 +226,3 @@ def to_flat(e: GaussianEstimate):
     """(mean, cov) tuples of an estimate."""
     (c00, c01), (c10, c11) = e.cov.tolist()
     return tuple(e.mean.tolist()), (c00, c01, c10, c11)
-
-
-def from_flat(mean, cov) -> GaussianEstimate:
-    """An estimate with fresh arrays built from (mean, cov) tuples."""
-    return GaussianEstimate(np.array(mean), np.array(cov).reshape(2, 2))

@@ -110,9 +110,10 @@ def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
     return (lambda r, phi: interpolate_cov(table, r, phi)), table
 
 
-def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
+def build_brains(cfg: wd.WorldConfig, search: str, assign: str, seed: int):
     """Brains, detection covariance callable, and visited map to mark.  The
-    brains share one :class:`AgentConfig`, so its viewpoint is found once."""
+    brains share one :class:`AgentConfig`, so its viewpoint is found once;
+    each draws from its own stream of ``seed``."""
     fov = SectorFov(cfg.r_s, cfg.half_angle)
     cov_fn, viewpoint_source = _cov_at_fn(cfg, fov)
     agent_cfg = AgentConfig(
@@ -132,7 +133,7 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str):
     step_max = max(cfg.domain_diagonal(), 2.0)
     brains = []
     for i in range(cfg.n_agents):
-        rng = wd.agent_rng(cfg, i)
+        rng = wd.agent_rng(seed, i)
         # ``rng=rng`` binds this agent's stream.  ``levy_waypoint`` is looked
         # up here at each draw, where the perfbench tracer hooks it.
         explorer = None
@@ -151,9 +152,8 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
                  max_steps: int, seed: int, stop_when_tracked=True,
                  telemetry_writer=None, dump_maps_dir=None) -> RunMetrics:
     """One deterministic episode; returns its metrics."""
-    cfg = replace(cfg, seed=seed)
-    state = wd.make_state(cfg)
-    brains, cov_fn, vmap = build_brains(cfg, search, assign)
+    state = wd.make_state(cfg, seed)
+    brains, cov_fn, vmap = build_brains(cfg, search, assign, seed)
     n = cfg.n_agents
     target_ids = list(range(1, cfg.n_targets + 1))
     diag = cfg.domain_diagonal()
@@ -198,7 +198,7 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
         combined = combined_estimate(
             [(b.local_targets, b.neighbor_targets) for b in brains],
             target_ids)
-        estimates = {key: est.mean.tolist() for key, est in combined.items()}
+        estimates = {key: mean for key, (mean, _) in combined.items()}
         rel = (state.target_pos[None, :, :]
                - state.agent_pos[:, None, :]).tolist()
         true_rel = {(i, tid): rel[i][tid - 1]

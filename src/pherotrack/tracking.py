@@ -12,45 +12,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (GaussianEstimate, add2, add4, flat_entropy,
-                         from_flat, fuse, fuse_informed, info_form,
-                         propagate, scaled_eye, to_flat)
+from .estimation import (GaussianEstimate, add2, add4, flat_entropy, fuse,
+                         fuse_informed, info_form, propagate, scaled_eye,
+                         to_flat)
 
 
+@dataclass(slots=True, eq=False)
 class TargetRecord:
     """One target's estimate as held by one agent.
 
-    ``mean`` and ``cov`` are tuples of Python floats (see
+    ``mean`` and ``cov`` are flat tuples of Python floats (see
     :func:`~pherotrack.estimation.to_flat`).  Tuples cannot be written in
     place, so a copy, a broadcast packet and every holder share them; an
     update rebinds the attribute.
     """
 
-    __slots__ = ("target_id", "mean", "cov", "last_update_step")
-
-    def __init__(self, target_id: int, estimate: GaussianEstimate,
-                 last_update_step: int = 0):
-        self.target_id = target_id
-        self.mean, self.cov = to_flat(estimate)
-        self.last_update_step = last_update_step
-
-    @property
-    def estimate(self) -> GaussianEstimate:
-        """The estimate as arrays of its own (a read-only view: writing
-        into it leaves the record as it was)."""
-        return from_flat(self.mean, self.cov)
+    target_id: int
+    mean: tuple
+    cov: tuple
+    last_update_step: int = 0
 
     def copy(self) -> "TargetRecord":
-        new = object.__new__(TargetRecord)
-        new.target_id = self.target_id
-        new.mean = self.mean
-        new.cov = self.cov
-        new.last_update_step = self.last_update_step
-        return new
-
-    def __repr__(self):
-        return (f"TargetRecord({self.target_id}, mean={self.mean}, "
-                f"cov={self.cov}, last_update_step={self.last_update_step})")
+        return TargetRecord(self.target_id, self.mean, self.cov,
+                            self.last_update_step)
 
 
 @dataclass
@@ -60,29 +44,19 @@ class LocalTargetList:
     records: dict = field(default_factory=dict)
 
 
+@dataclass(slots=True, eq=False)
 class NeighborTargetList:
     """A neighbor's broadcast target list plus where that neighbor is.
 
     Record estimates stay in the neighbor's frame; ``rel_mean`` and
-    ``rel_cov`` (flat tuples, None until the first packet) are the fused
+    ``rel_cov`` (flat tuples, set by the first packet) are the fused
     relative position of the neighbor in the local frame, which lifts those
     estimates into the local frame on demand.
     """
 
-    __slots__ = ("records", "rel_mean", "rel_cov")
-
-    def __init__(self, records: dict | None = None,
-                 rel_pos: GaussianEstimate | None = None):
-        self.records = {} if records is None else records
-        self.rel_mean, self.rel_cov = (None, None) if rel_pos is None \
-            else to_flat(rel_pos)
-
-    @property
-    def rel_pos(self) -> GaussianEstimate | None:
-        """The relative position as an estimate of its own, or None."""
-        if self.rel_mean is None:
-            return None
-        return from_flat(self.rel_mean, self.rel_cov)
+    records: dict
+    rel_mean: tuple
+    rel_cov: tuple
 
 
 @dataclass
@@ -108,30 +82,26 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     this step, where ``sensed_rel_pos`` is the receiver-side measurement of
     the sender attached by the channel.
 
-    Prediction and growth work on the records' float tuples; an estimate
-    about to be fused goes through :func:`propagate` and :func:`fuse` on
-    arrays, which give the same bits.  Mutates ``local`` and ``neighbors``
-    in place.
+    Each measurement becomes a flat ``(mean, cov)`` pair once, on entry;
+    prediction and fusion work on the pairs.  Mutates ``local`` and
+    ``neighbors`` in place.
     """
-    shift = np.asarray(shift, dtype=float).reshape(2)
-    d = tuple(shift.tolist())
+    d = tuple(np.asarray(shift, dtype=float).reshape(2).tolist())
     q = cfg.q_flat
-    det_by_id = dict(detections)
+    det_by_id = {tid: to_flat(est) for tid, est in detections}
 
     # Local list: predict with (shift, q_bar), fuse any matching detection.
     for tid, rec in local.records.items():
+        mean, cov = propagate(rec.mean, rec.cov, d, q)
         meas = det_by_id.pop(tid, None)
-        if meas is None:
-            rec.mean = add2(rec.mean, d)
-            rec.cov = add4(rec.cov, q)
-        else:
-            rec.mean, rec.cov = to_flat(fuse(
-                propagate(rec.estimate, shift, cfg.q_bar), meas))
+        if meas is not None:
+            mean, cov = fuse(mean, cov, *meas)
             rec.last_update_step = step
+        rec.mean, rec.cov = mean, cov
 
     # Brand-new detections enter with their instantaneous sensor covariance.
-    for tid, est in det_by_id.items():
-        local.records[tid] = TargetRecord(tid, est, step)
+    for tid, (mean, cov) in det_by_id.items():
+        local.records[tid] = TargetRecord(tid, mean, cov, step)
 
     _prune(local.records, cfg.sigma_bar)
 
@@ -145,23 +115,22 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     heard_from = set()
     for sender, records, rel_meas in rx_packets:
         heard_from.add(sender)
+        records = {r.target_id: r.copy() for r in records}
+        meas = to_flat(rel_meas)
         nlist = neighbors.get(sender)
         if nlist is None:
-            nlist = neighbors[sender] = NeighborTargetList()
-        nlist.records = {r.target_id: r.copy() for r in records}
-        if nlist.rel_mean is None:
-            nlist.rel_mean, nlist.rel_cov = to_flat(rel_meas)
+            neighbors[sender] = NeighborTargetList(records, *meas)
         else:
-            predicted = propagate(nlist.rel_pos, shift,
-                                  np.array(g).reshape(2, 2))
-            nlist.rel_mean, nlist.rel_cov = to_flat(fuse(predicted, rel_meas))
+            nlist.records = records
+            nlist.rel_mean, nlist.rel_cov = fuse(
+                *propagate(nlist.rel_mean, nlist.rel_cov, d, g), *meas)
 
     # Silent neighbors: dead-reckon their position, grow every uncertainty.
     for nid, nlist in neighbors.items():
-        if nid in heard_from or nlist.rel_mean is None:
+        if nid in heard_from:
             continue
-        nlist.rel_mean = add2(nlist.rel_mean, d)
-        nlist.rel_cov = add4(nlist.rel_cov, g)
+        nlist.rel_mean, nlist.rel_cov = propagate(nlist.rel_mean,
+                                                  nlist.rel_cov, d, g)
         for rec in nlist.records.values():
             rec.cov = add4(rec.cov, q)
 
@@ -258,27 +227,26 @@ def combined_estimate(holdings, target_ids) -> dict:
     ``holdings`` is a sequence of ``(local, neighbors)`` per agent: its
     :class:`LocalTargetList` and its dict of :class:`NeighborTargetList`.
     A pair's sources are the local record (if any), then each neighbor
-    record whose neighbor has a relative position, in ascending neighbor
-    id, lifted as :func:`transform_neighbor_estimate` does.  Only the
+    record, in ascending neighbor id, lifted as
+    :func:`transform_neighbor_estimate` does.  Only the
     requested targets are gathered.  Each chain is fused left to right,
     exactly as a loop of :func:`fuse` over its sources; with enough pairs,
     all chains advance together one position at a time through
     :func:`~pherotrack.estimation.fuse_informed`, which gives the same bits.
 
-    Returns ``{(index into holdings, target id): GaussianEstimate}``; pairs
-    with no source are absent.
+    Returns ``{(index into holdings, target id): (mean, cov)}`` as flat
+    tuples; pairs with no source are absent.
 
     Raises:
         SingularCovarianceError: if a fused covariance cannot be inverted.
     """
     chains = {}
     for a, (local, neighbors) in enumerate(holdings):
-        placed = [neighbors[nid] for nid in sorted(neighbors)
-                  if neighbors[nid].rel_mean is not None]
+        ordered = [neighbors[nid] for nid in sorted(neighbors)]
         for tid in target_ids:
             rec = local.records.get(tid)
             chain = [] if rec is None else [(rec.mean, rec.cov)]
-            for nlist in placed:
+            for nlist in ordered:
                 rec = nlist.records.get(tid)
                 if rec is not None:
                     chain.append((add2(rec.mean, nlist.rel_mean),
@@ -291,12 +259,10 @@ def combined_estimate(holdings, target_ids) -> dict:
 
 
 def _fuse_chain(chain):
-    means = np.array([mean for mean, _ in chain])
-    covs = np.array([cov for _, cov in chain]).reshape(-1, 2, 2)
-    out = GaussianEstimate(means[0], covs[0])
-    for j in range(1, len(chain)):
-        out = fuse(out, GaussianEstimate(means[j], covs[j]))
-    return out
+    mean, cov = chain[0]
+    for source in chain[1:]:
+        mean, cov = fuse(mean, cov, *source)
+    return mean, cov
 
 
 def _fuse_chains_stacked(chains):
@@ -328,6 +294,6 @@ def _fuse_chains_stacked(chains):
             mean[:n], cov[:n] = fuse_informed(mean[:n], cov[:n],
                                               ib[start:stop], ib_b[start:stop])
             start = stop
-    return {key: GaussianEstimate(mean[r], cov[r])
-            for r, key in enumerate(keys)}
+    return {key: (tuple(m), tuple(c)) for key, m, c in
+            zip(keys, mean.tolist(), cov.reshape(-1, 4).tolist())}
 

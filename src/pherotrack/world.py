@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .estimation import EPS_INV, EYE2, GaussianEstimate
-from .sensing import AnalyticCovMap, sector_polar, wrap_angle
+from .sensing import (AnalyticCovMap, SectorFov, load_calibration_csv,
+                      sector_polar, wrap_angle)
 
 
 # Diagonal added before every Cholesky factor of a noise covariance, so
@@ -60,7 +61,6 @@ class WorldConfig:
     q_star: float = 0.5              # waypoint-reached radius
     noise_scale: float = 1.0         # test hook: scales all sampled noise
     calibration_csv: str | None = None   # use a table-based covariance map
-    seed: int = 0
 
     def __post_init__(self):
         self.domain = tuple(float(v) for v in self.domain)
@@ -147,9 +147,25 @@ class WorldConfig:
             raise AssumptionError("counts and periods must be positive")
         if self.n_targets < 0:
             raise AssumptionError("target count must not be negative")
-        if self.calibration_csv and not os.path.isfile(self.calibration_csv):
+        if self.calibration_csv:
+            self._check_calibration_table()
+
+    def _check_calibration_table(self):
+        # Every table covariance reaches fusion as a detection, so it must
+        # clear the inversion limit that eta_floor clears on the analytic map.
+        path = self.calibration_csv
+        if not os.path.isfile(path):
+            raise AssumptionError(f"calibration table {path} does not exist")
+        try:
+            table = load_calibration_csv(
+                path, SectorFov(self.r_s, self.half_angle))
+        except (KeyError, TypeError, ValueError) as err:
             raise AssumptionError(
-                f"calibration table {self.calibration_csv} does not exist")
+                f"calibration table {path} is unreadable: {err!r}") from None
+        if not np.linalg.eigvalsh(table.covs)[:, 0].min() > EPS_INV:
+            raise AssumptionError(
+                f"calibration table {path} holds a covariance with smallest "
+                f"eigenvalue <= {EPS_INV}")
 
     def to_json(self, path):
         d = asdict(self)
@@ -229,14 +245,14 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + key))
 
 
-def make_state(cfg: WorldConfig) -> WorldState:
+def make_state(cfg: WorldConfig, seed: int) -> WorldState:
     """Randomly initialize agents and targets inside the domain.
 
-    The master seed expands into independent named streams (placement, one
+    The master ``seed`` expands into independent named streams (placement, one
     per target, per agent sensor, per agent channel), so changing the agent
     count never perturbs target noise.
     """
-    placement = _stream(cfg.seed, 0)
+    placement = _stream(seed, 0)
     w, h = cfg.domain
     agent_pos = placement.uniform((0, 0), (w, h), size=(cfg.n_agents, 2))
     agent_heading = placement.uniform(-np.pi, np.pi, size=cfg.n_agents)
@@ -245,18 +261,18 @@ def make_state(cfg: WorldConfig) -> WorldState:
         agent_pos=agent_pos,
         agent_heading=agent_heading,
         target_pos=target_pos,
-        target_rngs=[_stream(cfg.seed, 1, k) for k in range(cfg.n_targets)],
-        sense_rngs=[_stream(cfg.seed, 2, i) for i in range(cfg.n_agents)],
-        channel_rngs=[_stream(cfg.seed, 3, i) for i in range(cfg.n_agents)],
+        target_rngs=[_stream(seed, 1, k) for k in range(cfg.n_targets)],
+        sense_rngs=[_stream(seed, 2, i) for i in range(cfg.n_agents)],
+        channel_rngs=[_stream(seed, 3, i) for i in range(cfg.n_agents)],
         q_chol=np.linalg.cholesky(cfg.q_k + EYE2 * CHOL_JITTER),
         dp_chol=None if np.abs(cfg.r_dp).max() <= 0
         else np.linalg.cholesky(cfg.r_dp + EYE2 * CHOL_JITTER),
     )
 
 
-def agent_rng(cfg: WorldConfig, agent_id: int):
+def agent_rng(seed: int, agent_id: int):
     """Dedicated stream for an agent's own decisions (waypoint draws)."""
-    return _stream(cfg.seed, 4, agent_id)
+    return _stream(seed, 4, agent_id)
 
 
 def _reflect(x, lo, hi):

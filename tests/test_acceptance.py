@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from pherotrack.estimation import GaussianEstimate, fuse
+from pherotrack.estimation import GaussianEstimate, fuse, to_flat
 from pherotrack.harness import (ExperimentSpec, objective_H, run_monte_carlo,
                                 simulate_run)
 from pherotrack.pheromone import (ARGMIN_TOL, PheromoneConfig, PheromoneGrid,
@@ -150,14 +150,14 @@ def test_criterion_6a_fusion_oracle_equivalence():
             m = rng.standard_normal((2, 2))
             covs.append(m @ m.T + 0.01 * np.eye(2))
             means.append(rng.standard_normal(2) * 5)
-        got = fuse(GaussianEstimate(means[0], covs[0]),
-                   GaussianEstimate(means[1], covs[1]))
+        got_mean, got_cov = fuse(*to_flat(GaussianEstimate(means[0], covs[0])),
+                                 *to_flat(GaussianEstimate(means[1], covs[1])))
         ia, ib = np.linalg.inv(covs[0]), np.linalg.inv(covs[1])
         cov = np.linalg.inv(ia + ib)
         mean = cov @ (ia @ means[0] + ib @ means[1])
         worst = max(worst,
-                    np.abs(got.cov - cov).max(),
-                    np.abs(got.mean - mean).max())
+                    np.abs(np.reshape(got_cov, (2, 2)) - cov).max(),
+                    np.abs(np.array(got_mean) - mean).max())
     check("6a", worst <= 1e-9,
           f"fusion vs independent-inverse oracle on 10^4 random pairs, "
           f"max abs deviation {worst:.2e} (tol 1e-9)")

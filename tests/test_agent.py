@@ -8,7 +8,7 @@ from pherotrack import pheromone as ph
 from pherotrack.agent import (KD_THETA, KP_R, KP_THETA, AgentBrain,
                               AgentConfig, pd_control)
 from pherotrack.sensing import wrap_angle
-from pherotrack.estimation import GaussianEstimate
+from pherotrack.estimation import GaussianEstimate, to_flat
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
 from pherotrack.sensing import AnalyticCovMap, SectorFov, sector_polar
 from pherotrack.tracking import TargetRecord, TrackerConfig, update_storage
@@ -86,6 +86,11 @@ def det(tid, mean, var):
     return (tid, GaussianEstimate(mean, var * np.eye(2)))
 
 
+def record(tid, mean, var):
+    return TargetRecord(tid, *to_flat(GaussianEstimate(mean,
+                                                       var * np.eye(2))))
+
+
 def step(brain, dets=(), **kw):
     return brain.step(list(dets), [], np.zeros(2), np.zeros((2, 2)), 0.0,
                       own_pos=np.array([15.0, 15.0]), **kw)
@@ -128,19 +133,17 @@ def test_distant_target_drives_toward_viewpoint():
 
 def test_negative_information_inflates_contradicted_record():
     brain = make_brain()
-    brain.local_targets.records[1] = TargetRecord(
-        1, GaussianEstimate([2.0, 0.0], 0.04 * np.eye(2)))
+    brain.local_targets.records[1] = record(1, [2.0, 0.0], 0.04)
     step(brain)   # record mean sits in the sensed sector, nothing detected
-    cov = brain.local_targets.records[1].estimate.cov
+    cov = brain.local_targets.records[1].cov
     # predict growth (q_bar) plus the miss bump.
-    assert np.allclose(cov, (0.04 + 0.01 + 1.0) * np.eye(2))
+    assert np.allclose(cov, [1.05, 0.0, 0.0, 1.05])
 
     outside = make_brain()
-    outside.local_targets.records[1] = TargetRecord(
-        1, GaussianEstimate([-2.0, 0.0], 0.04 * np.eye(2)))   # behind
+    outside.local_targets.records[1] = record(1, [-2.0, 0.0], 0.04)  # behind
     step(outside)
-    cov = outside.local_targets.records[1].estimate.cov
-    assert np.allclose(cov, 0.05 * np.eye(2))                 # q_bar only
+    cov = outside.local_targets.records[1].cov
+    assert np.allclose(cov, [0.05, 0.0, 0.0, 0.05])           # q_bar only
 
 
 def test_forced_unknown_target_falls_back_to_explore():
@@ -165,8 +168,7 @@ def test_local_greedy_ignores_out_of_sector_records():
     assert telem.target_id == 1
     # A record behind the agent is invisible to the local-greedy rule.
     lone = make_brain(assign="local-greedy")
-    lone.local_targets.records[1] = TargetRecord(
-        1, GaussianEstimate([-2.0, 0.0], 0.01 * np.eye(2)))
+    lone.local_targets.records[1] = record(1, [-2.0, 0.0], 0.01)
     _, _, telem = step(lone)
     assert telem.target_id == 0
 
@@ -314,7 +316,7 @@ def test_clamp_is_bit_identical_to_np_clip():
 
 def test_broadcast_records_share_floats_but_never_mutations():
     sender = make_brain(agent_id=2)
-    rec = TargetRecord(1, GaussianEstimate([1.0, 0.0], 0.04 * np.eye(2)))
+    rec = record(1, [1.0, 0.0], 0.04)
     sender.local_targets.records[1] = rec
     packet = sender.snapshot_packet()
     sent = packet.targets[0]

@@ -17,7 +17,7 @@ from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN, Explorer,
                                   antiflocking_waypoint, auction_assign,
                                   levy_step_length, levy_waypoint,
                                   local_greedy_select)
-from pherotrack.estimation import GaussianEstimate
+from pherotrack.estimation import GaussianEstimate, to_flat
 from pherotrack.tracking import LocalTargetList, TargetRecord
 
 
@@ -135,7 +135,8 @@ def test_explorer_redraws_a_stale_endpoint():
 
 
 def rec(tid, var, mean=(1.0, 0.0)):
-    return TargetRecord(tid, GaussianEstimate(mean, var * np.eye(2)))
+    return TargetRecord(tid, *to_flat(GaussianEstimate(mean,
+                                                       var * np.eye(2))))
 
 
 def test_local_greedy_picks_least_uncertain_in_fov():

@@ -10,8 +10,8 @@ import pytest
 
 from pherotrack.estimation import (EPS_INV, GaussianEstimate,
                                    SingularCovarianceError, check_cov,
-                                   _inv_entries, entropy, fuse,
-                                   fuse_stacked, inv2, propagate)
+                                   _inv_entries, entropy, flat_entropy, fuse,
+                                   fuse_stacked, inv2, propagate, to_flat)
 
 
 def random_pd(rng, floor=0.01):
@@ -27,41 +27,48 @@ def naive_fuse(a_mean, a_cov, b_mean, b_cov):
     return mean, cov
 
 
+def flat(mean, cov):
+    """A flat (mean, cov) pair, as the tracker holds estimates."""
+    return to_flat(GaussianEstimate(mean, cov))
+
+
 def test_fusion_matches_naive_oracle_on_random_pairs():
     rng = np.random.default_rng(7)
     for _ in range(10_000):
-        a = GaussianEstimate(rng.standard_normal(2) * 5, random_pd(rng))
-        b = GaussianEstimate(rng.standard_normal(2) * 5, random_pd(rng))
-        got = fuse(a, b)
-        want_mean, want_cov = naive_fuse(a.mean, a.cov, b.mean, b.cov)
-        assert np.allclose(got.mean, want_mean, atol=1e-9, rtol=0)
-        assert np.allclose(got.cov, want_cov, atol=1e-9, rtol=0)
+        a_mean, a_cov = rng.standard_normal(2) * 5, random_pd(rng)
+        b_mean, b_cov = rng.standard_normal(2) * 5, random_pd(rng)
+        mean, cov = fuse(*flat(a_mean, a_cov), *flat(b_mean, b_cov))
+        want_mean, want_cov = naive_fuse(a_mean, a_cov, b_mean, b_cov)
+        assert np.allclose(mean, want_mean, atol=1e-9, rtol=0)
+        assert np.allclose(cov, want_cov.ravel(), atol=1e-9, rtol=0)
 
 
 def test_fusion_never_increases_entropy():
     rng = np.random.default_rng(11)
     for _ in range(500):
-        a = GaussianEstimate(rng.standard_normal(2), random_pd(rng))
-        b = GaussianEstimate(rng.standard_normal(2), random_pd(rng))
-        fused = fuse(a, b)
-        assert entropy(fused.cov) <= min(entropy(a.cov), entropy(b.cov)) + 1e-12
+        a = flat(rng.standard_normal(2), random_pd(rng))
+        b = flat(rng.standard_normal(2), random_pd(rng))
+        _, cov = fuse(*a, *b)
+        assert flat_entropy(cov) <= min(flat_entropy(a[1]),
+                                        flat_entropy(b[1])) + 1e-12
 
 
 def test_fusion_is_symmetric():
     rng = np.random.default_rng(13)
-    a = GaussianEstimate(rng.standard_normal(2), random_pd(rng))
-    b = GaussianEstimate(rng.standard_normal(2), random_pd(rng))
-    ab = fuse(a, b)
-    ba = fuse(b, a)
-    assert np.allclose(ab.mean, ba.mean, atol=1e-12)
-    assert np.allclose(ab.cov, ba.cov, atol=1e-12)
+    a = flat(rng.standard_normal(2), random_pd(rng))
+    b = flat(rng.standard_normal(2), random_pd(rng))
+    ab = fuse(*a, *b)
+    ba = fuse(*b, *a)
+    assert np.allclose(ab[0], ba[0], atol=1e-12)
+    assert np.allclose(ab[1], ba[1], atol=1e-12)
 
 
 def test_fusion_of_equal_estimates_halves_covariance():
-    e = GaussianEstimate([1.0, -2.0], [[2.0, 0.0], [0.0, 2.0]])
-    fused = fuse(e, e)
-    assert np.allclose(fused.mean, [1.0, -2.0])
-    assert np.allclose(fused.cov, np.eye(2))
+    e = ((1.0, -2.0), (2.0, 0.0, 0.0, 2.0))
+    mean, cov = fuse(*e, *e)
+    assert type(mean) is tuple and type(cov) is tuple
+    assert np.allclose(mean, [1.0, -2.0])
+    assert np.allclose(cov, [1.0, 0.0, 0.0, 1.0])
 
 
 def test_inv2_matches_numpy_and_guards_singularity():
@@ -87,29 +94,40 @@ def test_stacked_kernels_match_single_matrix_kernels_bit_for_bit():
         # The float kernel fuse() inverts with.
         want = _inv_entries(*a_cov[i].ravel().tolist())
         assert inv[i].tobytes() == np.array(want).tobytes()
-        want = fuse(GaussianEstimate(a_mean[i], a_cov[i]),
-                    GaussianEstimate(b_mean[i], b_cov[i]))
-        assert mean[i].tobytes() == want.mean.tobytes()
-        assert cov[i].tobytes() == want.cov.tobytes()
+        want_mean, want_cov = fuse(*flat(a_mean[i], a_cov[i]),
+                                   *flat(b_mean[i], b_cov[i]))
+        assert mean[i].tobytes() == np.array(want_mean).tobytes()
+        assert cov[i].tobytes() == np.array(want_cov).tobytes()
     b_cov[k // 2] = 0.0
     with pytest.raises(SingularCovarianceError):
         fuse_stacked(a_mean, a_cov, b_mean, b_cov)
 
 
 def test_fuse_raises_on_singular_input():
-    good = GaussianEstimate([0.0, 0.0], np.eye(2))
-    bad = GaussianEstimate([0.0, 0.0], np.zeros((2, 2)))
+    good = ((0.0, 0.0), (1.0, 0.0, 0.0, 1.0))
+    bad = ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(SingularCovarianceError):
-        fuse(good, bad)
+        fuse(*good, *bad)
+    with pytest.raises(SingularCovarianceError):
+        fuse(*bad, *good)
 
 
 def test_propagate_shifts_mean_and_grows_covariance():
-    e = GaussianEstimate([1.0, 1.0], np.eye(2))
-    out = propagate(e, [0.5, -0.5], 0.01 * np.eye(2))
-    assert np.allclose(out.mean, [1.5, 0.5])
-    assert np.allclose(out.cov, 1.01 * np.eye(2))
-    # Input untouched.
-    assert np.allclose(e.mean, [1.0, 1.0])
+    mean, cov = propagate((1.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.5, -0.5),
+                          (0.01, 0.0, 0.0, 0.01))
+    assert mean == (1.5, 0.5)
+    assert cov == (1.01, 0.0, 0.0, 1.01)
+    # The bits numpy gives on the same arrays, signed zeros included.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m, d = rng.standard_normal((2, 2))
+        c, g = random_pd(rng), random_pd(rng)
+        d[int(rng.integers(2))] = rng.choice([0.0, -0.0])
+        got = propagate(*flat(m, c), tuple(d.tolist()),
+                        tuple(g.ravel().tolist()))
+        want = flat(m + d, c + g)
+        for x, y in zip(got, want):
+            assert np.array(x).tobytes() == np.array(y).tobytes()
 
 
 def test_entropy_is_determinant():

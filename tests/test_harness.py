@@ -17,8 +17,7 @@ from pherotrack import cli
 
 
 def small_cfg(**kw):
-    base = dict(n_agents=2, n_targets=1, domain=(12.0, 12.0), r_c=12.0,
-                seed=0)
+    base = dict(n_agents=2, n_targets=1, domain=(12.0, 12.0), r_c=12.0)
     base.update(kw)
     return sim_2d_preset(**base)
 
@@ -268,7 +267,7 @@ def test_brains_share_one_agent_config(monkeypatch):
     monkeypatch.setattr(agent, "best_viewpoint", counted)
     for search in ("pheromone", "levy", "antiflocking"):
         brains, _, _ = build_brains(hardware_table_preset(), search,
-                                    "local-greedy")
+                                    "local-greedy", 0)
         assert len(brains) == 2
         assert all(b.cfg is brains[0].cfg for b in brains)
         assert brains[0].cfg.assign == "local-greedy"
@@ -450,3 +449,46 @@ def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
     err = cli_usage_error(capsys, "--config", str(path),
                           "--out", str(tmp_path / "out"))
     assert "unknown config keys: ['n_agnets']" in err
+    # The seed is the run's (--seed), never the config's.
+    for seed in (7, -1):
+        path.write_text(json.dumps({"seed": seed}))
+        err = cli_usage_error(capsys, "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+        assert "unknown config keys: ['seed']" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_calibration_csv_is_usage_error(tmp_path, capsys):
+    # Each of these tables passed the gate once and then failed mid-run
+    # with a traceback (a Cholesky or inversion error, an empty table, a
+    # missing column).
+    import pherotrack.sensing as sensing
+    preset = hardware_table_preset()
+    table = sensing.synthetic_calibration_table(
+        preset.cov_map(), sensing.SectorFov(preset.r_s, preset.half_angle))
+    header = ",".join(sensing.CALIBRATION_CSV_FIELDS)
+    points = [(r, math.degrees(phi)) for r, phi in table.points]
+
+    def rows(c11, c12, c22):
+        return "\n".join([header] + [f"{r},{b},{c11},{c12},{c22}"
+                                     for r, b in points]) + "\n"
+    singular = "smallest eigenvalue"
+    path = tmp_path / "cfg.json"
+    for name, text, reason in (
+            ("zero", rows(0.0, 0.0, 0.0), singular),
+            ("rank1", rows(1.0, 1.0, 1.0), singular),
+            ("negative", rows(0.1, 0.0, -1e-10), singular),
+            ("tiny", rows(1e-10, 0.0, 1e-10), singular),
+            ("header-only", header + "\n", "calibration table is empty"),
+            ("no-bearing", "\n".join(["r,c11,c12,c22"] + [
+                f"{r},0.1,0.0,0.1" for r, _ in points]) + "\n",
+             "bearing_deg")):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(text)
+        path.write_text(json.dumps(dict(
+            domain=[10.0, 6.0], n_agents=2, n_targets=2, r_c=6.5, r_s=5.5,
+            calibration_csv=str(table))))
+        err = cli_usage_error(capsys, "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+        assert reason in err and name in err, name
+    assert not (tmp_path / "out").exists()

@@ -71,7 +71,7 @@ def test_gate_accepts_singular_noise_covariances():
     # so a singular but PSD covariance passes and runs.
     for ok in (dict(q_k=((0.004, 0.004), (0.004, 0.004))),
                dict(r_dp=((1e-3, 0.0), (0.0, 0.0)))):
-        make_state(WorldConfig(**ok))
+        make_state(WorldConfig(**ok), 0)
 
 
 def test_gate_rejects_negative_target_count():
@@ -135,11 +135,11 @@ def test_presets_pass_the_gate():
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = sim_2d_preset(n_agents=3, seed=17)
+    cfg = sim_2d_preset(n_agents=3)
     path = tmp_path / "cfg.json"
     cfg.to_json(path)
     loaded = WorldConfig.from_json(path)
-    assert loaded.n_agents == 3 and loaded.seed == 17
+    assert loaded.n_agents == 3
     assert loaded.domain == cfg.domain
     assert np.allclose(loaded.q_k, cfg.q_k)
     assert np.allclose(loaded.u_max, cfg.u_max)
@@ -156,8 +156,7 @@ def test_config_json_names_unknown_keys(tmp_path):
 
 
 def test_make_state_shapes_and_bounds():
-    cfg = sim_2d_preset(seed=3)
-    state = make_state(cfg)
+    state = make_state(sim_2d_preset(), 3)
     assert state.agent_pos.shape == (6, 2)
     assert state.target_pos.shape == (4, 2)
     assert (state.agent_pos >= 0).all() and (state.agent_pos <= 30).all()
@@ -167,20 +166,20 @@ def test_make_state_shapes_and_bounds():
 
 def test_make_state_factors_noise_once_per_run():
     cfg = sim_2d_preset(r_dp=((2e-3, 1.5e-3), (1.5e-3, 2e-3)))
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     eps = 1e-15 * np.eye(2)
     assert state.q_chol.tobytes() == \
         np.linalg.cholesky(cfg.q_k + eps).tobytes()
     assert state.dp_chol.tobytes() == \
         np.linalg.cholesky(cfg.r_dp + eps).tobytes()
     # No displacement noise: no factor, and the measurement is exact.
-    assert make_state(sim_2d_preset()).dp_chol is None
+    assert make_state(sim_2d_preset(), 0).dp_chol is None
 
 
 def test_make_state_deterministic_per_seed():
-    a = make_state(sim_2d_preset(seed=5))
-    b = make_state(sim_2d_preset(seed=5))
-    c = make_state(sim_2d_preset(seed=6))
+    a = make_state(sim_2d_preset(), 5)
+    b = make_state(sim_2d_preset(), 5)
+    c = make_state(sim_2d_preset(), 6)
     assert np.array_equal(a.agent_pos, b.agent_pos)
     assert np.array_equal(a.target_pos, b.target_pos)
     assert not np.array_equal(a.target_pos, c.target_pos)
@@ -188,14 +187,12 @@ def test_make_state_deterministic_per_seed():
 
 def test_target_noise_streams_independent_of_agent_count():
     hold = ControlInput(0.0, 0.0)
-    few = make_state(sim_2d_preset(seed=9, n_agents=2, n_targets=2))
-    many = make_state(sim_2d_preset(seed=9, n_agents=6, n_targets=2))
+    few = make_state(sim_2d_preset(n_agents=2, n_targets=2), 9)
+    many = make_state(sim_2d_preset(n_agents=6, n_targets=2), 9)
     d_few = few.target_pos.copy()
     d_many = many.target_pos.copy()
-    step_dynamics(few, [hold] * 2, sim_2d_preset(seed=9, n_agents=2,
-                                                 n_targets=2))
-    step_dynamics(many, [hold] * 6, sim_2d_preset(seed=9, n_agents=6,
-                                                  n_targets=2))
+    step_dynamics(few, [hold] * 2, sim_2d_preset(n_agents=2, n_targets=2))
+    step_dynamics(many, [hold] * 6, sim_2d_preset(n_agents=6, n_targets=2))
     assert np.allclose(few.target_pos - d_few, many.target_pos - d_many)
 
 
@@ -217,7 +214,7 @@ def place(state, agent_pos, heading, target_pos):
 
 def test_unicycle_step():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[5.0, 5.0]], [0.0], [[20.0, 20.0]])
     step_dynamics(state, [ControlInput(0.4, math.radians(15.0))], cfg)
     assert np.allclose(state.agent_pos[0], [5.4, 5.0])
@@ -227,7 +224,7 @@ def test_unicycle_step():
 
 def test_agents_clamped_to_domain():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[29.9, 0.05]], [-0.5], [[20.0, 20.0]])
     step_dynamics(state, [ControlInput(0.4, 0.0)], cfg)
     assert state.agent_pos[0, 0] == 30.0
@@ -235,15 +232,15 @@ def test_agents_clamped_to_domain():
 
 
 def test_targets_reflect_and_stay_inside():
-    cfg = sim_2d_preset(seed=11, n_agents=1, n_targets=4)
-    state = make_state(cfg)
+    cfg = sim_2d_preset(n_agents=1, n_targets=4)
+    state = make_state(cfg, 11)
     hold = [ControlInput(0.0, 0.0)]
     for _ in range(500):
         step_dynamics(state, hold, cfg)
         assert (state.target_pos >= 0).all()
         assert (state.target_pos <= 30).all()
     # They do actually move.
-    fresh = make_state(cfg)
+    fresh = make_state(cfg, 11)
     assert not np.allclose(state.target_pos, fresh.target_pos)
 
 
@@ -252,7 +249,7 @@ def test_targets_reflect_and_stay_inside():
 
 def test_target_in_fov_geometry():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
     assert target_in_fov(state, 0, 0, cfg)
     place(state, [[5.0, 5.0]], [math.pi], [[7.0, 5.0]])
@@ -283,7 +280,7 @@ def test_one_sector_rule_for_every_caller():
     cfg = cfg_quiet(phi_c_deg=90.0)
     assert cfg.half_angle == math.pi / 4 and cfg.r_s == 4.0
     cmap = cfg.cov_map()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     for heading, (x, y), inside in SECTOR_CASES:
         place(state, [[10.0, 10.0]], [heading], [[10.0 + x, 10.0 + y]])
         polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
@@ -302,7 +299,7 @@ def test_one_sector_rule_for_every_caller():
 
 def test_sense_targets_noise_free_measurement():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
     dets = sense_targets(state, 0, cfg)
     assert len(dets) == 1
@@ -317,7 +314,7 @@ def test_sense_targets_noise_free_measurement():
 
 def test_sense_targets_covariance_tracks_range():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[5.0, 5.0]], [0.0], [[8.5, 5.0]])     # r = 3.5
     _, est = sense_targets(state, 0, cfg)[0]
     assert np.allclose(est.cov, (3.5 - 2.0) ** 2 * np.eye(2))
@@ -338,8 +335,7 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
     general = lambda r, phi: max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
     seen = 0
     for seed in range(40):
-        cfg.seed = seed
-        fast, slow = make_state(cfg), make_state(cfg)
+        fast, slow = make_state(cfg, seed), make_state(cfg, seed)
         for agent in range(cfg.n_agents):
             got = sense_targets(fast, agent, cfg)
             want = sense_targets(slow, agent, cfg, general)
@@ -353,7 +349,7 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
 
 def test_sense_displacement_exact_when_noiseless():
     cfg = cfg_quiet()
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     place(state, [[5.0, 5.0]], [0.0], [[20.0, 20.0]])
     dp, sdp = sense_displacement(state, 0, [4.0, 5.5], cfg)
     assert np.allclose(dp, [1.0, -0.5])
@@ -370,7 +366,7 @@ def packet(sender):
 
 def test_broadcasts_follow_schedule_and_radius():
     cfg = sim_2d_preset(n_agents=3, n_targets=1, noise_scale=0.0)
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     state.agent_pos[:] = [[0.0, 0.0], [5.0, 0.0], [15.0, 0.0]]
     packets = {i: packet(i + 1) for i in range(3)}
 
@@ -394,7 +390,7 @@ def test_broadcasts_follow_schedule_and_radius():
 def test_delivered_packet_is_the_one_sent():
     # Every receiver gets the sender's packet object, not a copy.
     cfg = sim_2d_preset(n_agents=3, n_targets=1)
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     state.agent_pos[:] = [[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]]
     packets = {i: packet(i + 1) for i in range(3)}
     rx = deliver_broadcasts(packets, state, 0, cfg)
@@ -406,7 +402,7 @@ def test_delivered_packet_is_the_one_sent():
 
 def test_empty_air_draws_no_channel_noise():
     cfg = sim_2d_preset(n_agents=2, n_targets=1)
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     before = [r.bit_generator.state for r in state.channel_rngs]
     assert deliver_broadcasts({}, state, 0, cfg) == {0: [], 1: []}
     assert [r.bit_generator.state for r in state.channel_rngs] == before
@@ -414,7 +410,7 @@ def test_empty_air_draws_no_channel_noise():
 
 def test_no_self_delivery():
     cfg = sim_2d_preset(n_agents=2, n_targets=1, noise_scale=0.0)
-    state = make_state(cfg)
+    state = make_state(cfg, 0)
     state.agent_pos[:] = [[0.0, 0.0], [1.0, 0.0]]
     rx = deliver_broadcasts({i: packet(i + 1) for i in range(2)}, state, 0, cfg)
     assert [p.sender for p, _ in rx[0]] == [2]
