@@ -49,7 +49,7 @@ class BroadcastPacket:
     """
 
     sender: int
-    pheromones: ph.PheromoneList
+    pheromones: np.ndarray      # sender's own rows, never changed in place
     targets: list
 
 
@@ -123,46 +123,34 @@ class AgentBrain:
 
     local_targets: LocalTargetList = field(default_factory=LocalTargetList)
     neighbor_targets: dict = field(default_factory=dict)
-    own_pheromones: ph.PheromoneList = None
-    neighbor_pheromones: dict = field(default_factory=dict)
+    own_pheromones: np.ndarray = field(default_factory=ph.no_deposits)
+    neighbor_pheromones: dict = field(default_factory=dict)  # id -> rows
     carried: tuple | None = None    # (waypoint, stored weight) while exploring
     prev_waypoint_body: np.ndarray | None = None
     step_count: int = 0
-
-    def __post_init__(self):
-        if self.own_pheromones is None:
-            self.own_pheromones = ph.PheromoneList(self.agent_id)
 
     def snapshot_packet(self) -> BroadcastPacket:
         # Copies share their float tuples, which cannot change.
         return BroadcastPacket(
             sender=self.agent_id,
-            pheromones=self.own_pheromones.copy(),
+            pheromones=self.own_pheromones,
             targets=[r.copy() for r in self.local_targets.records.values()],
         )
 
     # -- pheromone search helpers ------------------------------------------
 
-    def _all_pheromones(self) -> ph.PheromoneList:
-        """Every held deposit, own and neighbors', as one list."""
-        return ph.PheromoneList(self.agent_id, np.concatenate(
-            [self.own_pheromones.rows]
-            + [pl.rows for pl in self.neighbor_pheromones.values()]))
+    def _all_pheromones(self) -> np.ndarray:
+        """Every held deposit, own and neighbors', as one rows array."""
+        return np.concatenate(
+            [self.own_pheromones, *self.neighbor_pheromones.values()])
 
     def pheromone_map(self, deposits=None) -> ph.PheromoneGrid:
         """The map this agent steers by, built from ``deposits`` (default:
-        every held deposit): stamped disks for delta-kernel deposits, else
-        the maximum of every deposit's diffused region."""
+        every held deposit)."""
         if deposits is None:
             deposits = self._all_pheromones()
-        radius = self.cfg.pher_cfg.footprint_radius
-        geom = self.cfg.grid_geom
-        if deposits.delta_only():
-            return ph.delta_map(deposits.positions, deposits.weights, radius,
-                                geom)
-        regions = [ph.diffuse_region(p, c, w, radius, geom) for p, c, w in
-                   zip(deposits.positions, deposits.covs, deposits.weights)]
-        return ph.build_map(regions, geom)
+        return ph.deposit_map(deposits, self.cfg.pher_cfg.footprint_radius,
+                              self.cfg.grid_geom)
 
     def _clamper(self, own_pos):
         """A function clamping a relative point (two floats) into the
@@ -207,10 +195,10 @@ class AgentBrain:
             if cfg.q_star <= norm <= cfg.grid_geom.radius \
                     and self._in_domain(wp, own_pos):
                 # Delta deposits are valued without building the raster.
-                if deposits.delta_only():
+                if ph.delta_only(deposits):
                     value = ph.pheromone_value_at(
-                        wp, deposits.positions, deposits.weights,
-                        cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+                        wp, deposits, cfg.pher_cfg.footprint_radius,
+                        cfg.grid_geom)
                 else:
                     grid = self.pheromone_map(deposits)
                     value = grid.value_at(wp)
@@ -245,7 +233,7 @@ class AgentBrain:
         reach = max(cfg.fov.range_bl - 0.25, 1e-6)
         half = max(cfg.fov.half_angle - 0.05, 1e-6)
         clamp = self._clamper(own_pos)
-        lifetime = cfg.pher_cfg.max_list_length()
+        lifetime = cfg.pher_cfg.max_list_length
         deposits = None   # gathered on first need
 
         def searched_since(mean, last_update):
@@ -257,11 +245,10 @@ class AgentBrain:
                 return False
             if deposits is None:
                 deposits = self._all_pheromones()
-            if not len(deposits) or not deposits.delta_only():
+            if not len(deposits) or not ph.delta_only(deposits):
                 return False
             value = ph.pheromone_value_at(
-                mean, deposits.positions, deposits.weights,
-                cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+                mean, deposits, cfg.pher_cfg.footprint_radius, cfg.grid_geom)
             return value > cfg.pher_cfg.w_floor
 
         holdings = [(self.local_targets.records, None)] + [
@@ -317,8 +304,9 @@ class AgentBrain:
                  self.neighbor_targets[p.sender].rel_mean)
                 for p, _ in rx_packets
             ]
-            ph.update_pheromones(self.own_pheromones, self.neighbor_pheromones,
-                                 pher_rx, shift, sigma_dp, cfg.pher_cfg)
+            self.own_pheromones = ph.update_pheromones(
+                self.own_pheromones, self.neighbor_pheromones, pher_rx, shift,
+                sigma_dp, cfg.pher_cfg)
 
         if forced_target is not None:
             k_star = int(forced_target)

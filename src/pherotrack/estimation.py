@@ -68,9 +68,6 @@ class GaussianEstimate:
                 and c.shape == (2, 2)):
             self.cov = np.asarray(c, dtype=float).reshape(2, 2)
 
-    def copy(self) -> "GaussianEstimate":
-        return GaussianEstimate(self.mean.copy(), self.cov.copy())
-
 
 # The 2x2 kernels below work on the four entries of a matrix.  The entries
 # are Python floats for a single matrix, which skips numpy's per-call
@@ -102,11 +99,6 @@ def _inv_entries(c00, c01, c10, c11):
     return c11 / det, -c01 / det, -c10 / det, c00 / det
 
 
-# Entry order of a flattened 2x2 inverse: the adjugate's, then its signs.
-_ADJ = np.array([3, 1, 2, 0])
-_ADJ_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-
-
 def inv2(c, check=True):
     """Closed-form inverse of a stack of 2x2 matrices (..., 2, 2).
 
@@ -118,18 +110,12 @@ def inv2(c, check=True):
             ``EPS_INV``.
     """
     c = np.asarray(c, dtype=float)
-    flat = c.reshape(-1, 4)
-    c00, c01, c10, c11 = flat.T
+    entries = c.reshape(-1, 4).T
     if check:
-        _check_invertible(c00, c01, c10, c11)
-    det = c00 * c11 - c01 * c10
-    # Multiplying by -1 is an exact negation, so each entry rounds as the
-    # float kernel's -c01 / det in _inv_entries does.  take() keeps the result
-    # C-contiguous: np.matmul picks its kernel, and so its rounding, by
-    # memory layout.
-    out = flat.take(_ADJ, axis=1) * _ADJ_SIGN
-    out /= det[:, None]
-    return out.reshape(c.shape)
+        _check_invertible(*entries)
+    # np.stack keeps the result C-contiguous: np.matmul picks its kernel, and
+    # so its rounding, by memory layout.
+    return np.stack(_inv_entries(*entries), axis=-1).reshape(c.shape)
 
 
 def fuse(a_mean, a_cov, b_mean, b_cov):

@@ -23,7 +23,7 @@ from .agent import AgentBrain, AgentConfig
 from .baselines import (AuctionOracle, Explorer, VisitedMap,
                         antiflocking_waypoint, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
-from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table, load_calibration_csv
+from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table
 from .tracking import TrackerConfig, combined_estimate
 
 SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
@@ -104,7 +104,7 @@ def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
         cmap = cfg.cov_map()
         return None, cmap
     if cfg.calibration_csv:
-        table = load_calibration_csv(cfg.calibration_csv, fov)
+        table = cfg.calibration_table   # loaded by the config's gate
     else:
         table = synthetic_calibration_table(cfg.cov_map(), fov)
     return (lambda r, phi: interpolate_cov(table, r, phi)), table

@@ -14,7 +14,7 @@ visited) cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,55 +29,21 @@ ARGMIN_TOL = 1e-9
 
 
 # Columns of a deposit row: position (x, y), covariance entries (c00, c01,
-# c10, c11) and weight.
+# c10, c11) and weight.  A deposit list is a (K, 7) array of rows that is
+# never changed in place: every update builds a new array, so a broadcast
+# packet can carry its sender's array as it is.
 _ROW_WIDTH = 7
 _WEIGHT = 6
 
 
-@dataclass
-class PheromoneList:
-    """Deposits of one owner, one row each (see ``_ROW_WIDTH``).
-
-    ``rows`` is never changed in place: every update builds a new array, so
-    a broadcast snapshot (:meth:`copy`) shares it with the list it was taken
-    from.
-    """
-
-    owner: int
-    rows: np.ndarray = field(
-        default_factory=lambda: np.empty((0, _ROW_WIDTH)))
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def positions(self):
-        return self.rows[:, :2]
-
-    @property
-    def covs(self):
-        return self.rows[:, 2:6].reshape(-1, 2, 2)
-
-    @property
-    def weights(self):
-        return self.rows[:, _WEIGHT]
-
-    def delta_only(self) -> bool:
-        """Whether every deposit's covariance is negligible (delta kernel)."""
-        return not len(self.rows) \
-            or np.abs(self.rows[:, 2:6]).max() <= _DELTA_COV_TOL
-
-    def append(self, position, cov, weight):
-        self.rows = np.vstack([self.rows, _row(position, cov, weight)])
-
-    def copy(self):
-        """A list of the same deposits; shares ``rows``, which nothing
-        changes in place."""
-        return PheromoneList(self.owner, self.rows)
+def no_deposits():
+    """An empty deposit list."""
+    return np.empty((0, _ROW_WIDTH))
 
 
-def _row(position, cov, weight):
-    return np.concatenate((np.ravel(position), np.ravel(cov), (weight,)))
+def delta_only(rows) -> bool:
+    """Whether every deposit's covariance is negligible (delta kernel)."""
+    return not len(rows) or np.abs(rows[:, 2:6]).max() <= _DELTA_COV_TOL
 
 
 @dataclass
@@ -93,11 +59,8 @@ class PheromoneConfig:
         if not (0 < self.w_floor < self.w_init):
             raise ValueError("need 0 < floor < initial weight")
 
-    def max_list_length(self):
-        return self._max_list_length
-
     @cached_property
-    def _max_list_length(self):
+    def max_list_length(self):
         # A deposit survives until w_init (1 - decay)^n <= floor.
         return int(math.ceil(math.log(self.w_floor / self.w_init)
                              / math.log(1.0 - self.w_decay))) + 1
@@ -119,21 +82,15 @@ class GridGeometry:
         # Cell-center coordinates along one axis.
         self.coords = (np.arange(self.n) + 0.5) * self.cell_size - self.radius
 
-    def centers(self):
-        return self._centers
-
     @cached_property
-    def _centers(self):
+    def centers(self):
         xs, ys = np.meshgrid(self.coords, self.coords, indexing="ij")
         return _read_only(xs), _read_only(ys)
 
+    @cached_property
     def in_ball_mask(self):
         """Cells whose centers lie within the grid radius of the origin."""
-        return self._in_ball_mask
-
-    @cached_property
-    def _in_ball_mask(self):
-        xs, ys = self.centers()
+        xs, ys = self.centers
         return _read_only(xs ** 2 + ys ** 2 <= self.radius ** 2)
 
     def index_of(self, point):
@@ -172,8 +129,8 @@ class PheromoneGrid:
                 f.write(" ".join(str(v) for v in row) + "\n")
 
 
-def update_pheromones(own: PheromoneList, neighbor_lists: dict, rx_packets,
-                      shift, sigma_shift, cfg: PheromoneConfig):
+def update_pheromones(own, neighbor_lists: dict, rx_packets, shift,
+                      sigma_shift, cfg: PheromoneConfig):
     """One pheromone storage round.
 
     Own deposits shift with the agent, grow in uncertainty, decay, and die at
@@ -183,30 +140,30 @@ def update_pheromones(own: PheromoneList, neighbor_lists: dict, rx_packets,
     sender offset; silent neighbors' lists decay and are shifted so every
     stored position stays expressed in the current local frame.
 
-    ``rx_packets`` is a list of (sender_id, PheromoneList, offset) where
-    ``offset`` is the sender's relative position in the local frame.
-    Mutates ``own`` and ``neighbor_lists`` in place.
+    ``own`` and the values of ``neighbor_lists`` (sender id -> rows) are
+    deposit lists.  ``rx_packets`` is a list of (sender_id, rows, offset)
+    where ``offset`` is the sender's relative position in the local frame.
+    Returns the new own rows and replaces entries of ``neighbor_lists``.
     """
     # One round scales a row by ``scale`` (the weight decays), then adds
     # ``growth`` (the shift to the position, its covariance to the
     # covariance).  A product with 1.0 and a sum with -0.0 change no bits.
     scale = np.array((1.0,) * _WEIGHT + (1.0 - cfg.w_decay,))
-    growth = _row(shift, sigma_shift, -0.0)
+    growth = np.concatenate((np.ravel(shift), np.ravel(sigma_shift), (-0.0,)))
     fresh = growth.copy()
     fresh[_WEIGHT] = cfg.w_init
-    own.rows = np.concatenate((_decayed(own.rows, scale, growth, cfg),
-                               fresh[None]))
 
     heard_from = set()
-    for sender, plist, offset in rx_packets:
+    for sender, rows, offset in rx_packets:
         heard_from.add(sender)
-        rows = plist.rows.copy()
+        rows = rows.copy()
         rows[:, :2] += offset
-        neighbor_lists[sender] = PheromoneList(plist.owner, rows)
+        neighbor_lists[sender] = rows
 
-    for nid, plist in neighbor_lists.items():
-        if nid not in heard_from and len(plist):
-            plist.rows = _decayed(plist.rows, scale, growth, cfg)
+    for nid, rows in neighbor_lists.items():
+        if nid not in heard_from and len(rows):
+            neighbor_lists[nid] = _decayed(rows, scale, growth, cfg)
+    return np.concatenate((_decayed(own, scale, growth, cfg), fresh[None]))
 
 
 def _decayed(rows, scale, growth, cfg: PheromoneConfig):
@@ -228,7 +185,7 @@ def diffuse_region(position, cov, weight, footprint_radius: float,
     """
     if footprint_radius <= 0:
         raise ValueError("footprint radius must be positive")
-    xs, ys = geometry.centers()
+    xs, ys = geometry.centers
     dx = xs - position[0]
     dy = ys - position[1]
     disk = (dx ** 2 + dy ** 2 <= footprint_radius ** 2).astype(float)
@@ -265,6 +222,19 @@ def build_map(regions, geometry: GridGeometry) -> PheromoneGrid:
             )
         np.maximum(weights, region, out=weights)
     return PheromoneGrid(geometry, weights)
+
+
+def deposit_map(rows, footprint_radius: float,
+                geometry: GridGeometry) -> PheromoneGrid:
+    """The map of a deposit list: stamped disks when every deposit is a
+    delta kernel, else the maximum of every deposit's diffused region."""
+    positions, weights = rows[:, :2], rows[:, _WEIGHT]
+    if delta_only(rows):
+        return delta_map(positions, weights, footprint_radius, geometry)
+    return build_map([diffuse_region(p, c, w, footprint_radius, geometry)
+                      for p, c, w in zip(positions,
+                                         rows[:, 2:6].reshape(-1, 2, 2),
+                                         weights)], geometry)
 
 
 def delta_map(positions, weights, footprint_radius: float,
@@ -311,20 +281,21 @@ def delta_map(positions, weights, footprint_radius: float,
     return PheromoneGrid(geometry, padded[half:-half, half:-half].copy())
 
 
-def pheromone_value_at(point, positions, weights, footprint_radius: float,
+def pheromone_value_at(point, rows, footprint_radius: float,
                        geometry: GridGeometry) -> float:
-    """Map value at one point for delta-kernel deposits, without a raster.
+    """Map value at one point for delta-kernel deposit rows, without a
+    raster.
 
     Evaluates at the containing cell's center so the result matches
-    ``delta_map(...).value_at(point)`` exactly.
+    ``deposit_map(...).value_at(point)`` exactly.
     """
-    if len(weights) == 0:
+    if len(rows) == 0:
         return 0.0
     i, j = geometry.index_of(point)
     center = np.array([geometry.coords[i], geometry.coords[j]])
-    d2 = ((positions - center) ** 2).sum(axis=1)
+    d2 = ((rows[:, :2] - center) ** 2).sum(axis=1)
     hit = d2 <= footprint_radius ** 2
-    return float(weights[hit].max()) if hit.any() else 0.0
+    return float(rows[hit, _WEIGHT].max()) if hit.any() else 0.0
 
 
 def exploration_waypoint(grid: PheromoneGrid, rng, valid=None):
@@ -338,7 +309,7 @@ def exploration_waypoint(grid: PheromoneGrid, rng, valid=None):
     Returns (waypoint, its weight).
     """
     geom = grid.geometry
-    mask = geom.in_ball_mask()
+    mask = geom.in_ball_mask
     if valid is not None and (mask & valid).any():
         mask = mask & valid
     vals = np.where(mask, grid.weights, np.inf)

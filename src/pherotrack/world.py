@@ -166,6 +166,9 @@ class WorldConfig:
             raise AssumptionError(
                 f"calibration table {path} holds a covariance with smallest "
                 f"eigenvalue <= {EPS_INV}")
+        # Kept for the runs, so the table is parsed once per check; not a
+        # field, so it stays out of the JSON form.
+        self.calibration_table = table
 
     def to_json(self, path):
         d = asdict(self)

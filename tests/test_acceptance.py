@@ -15,8 +15,8 @@ from pherotrack.estimation import GaussianEstimate, fuse, to_flat
 from pherotrack.harness import (ExperimentSpec, objective_H, run_monte_carlo,
                                 simulate_run)
 from pherotrack.pheromone import (ARGMIN_TOL, PheromoneConfig, PheromoneGrid,
-                                  GridGeometry, PheromoneList,
-                                  exploration_waypoint, update_pheromones)
+                                  GridGeometry, exploration_waypoint,
+                                  update_pheromones)
 from pherotrack.baselines import auction_assign
 from pherotrack.world import AssumptionError, WorldConfig, sim_2d_preset
 
@@ -187,21 +187,22 @@ def test_criterion_6b_auction_exact_on_small_tables():
 
 def test_criterion_6c_pheromone_lifetime_and_list_bound():
     cfg = PheromoneConfig(w_init=35.0, w_decay=0.16, w_floor=0.1)
-    own = PheromoneList(1)
-    own.append([99.0, 0.0], np.zeros((2, 2)), cfg.w_init)
+    # One deposit row: position, zero covariance entries, weight.
+    own = np.array([[99.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.w_init]])
     alive = 0
     lengths = []
     for _ in range(60):
-        if any(p[0] == 99.0 for p in own.positions):
+        if any(p[0] == 99.0 for p in own[:, :2]):
             alive += 1
-        update_pheromones(own, {}, [], np.zeros(2), np.zeros((2, 2)), cfg)
+        own = update_pheromones(own, {}, [], np.zeros(2), np.zeros((2, 2)),
+                                cfg)
         lengths.append(len(own))
-    ok = alive == 34 and max(lengths) <= cfg.max_list_length() \
+    ok = alive == 34 and max(lengths) <= cfg.max_list_length \
         and lengths[-1] == 34
     check("6c", ok,
           f"deposit lifetime {alive} steps (need exactly 34), steady list "
           f"length {lengths[-1]}, max {max(lengths)} <= bound "
-          f"{cfg.max_list_length()}")
+          f"{cfg.max_list_length}")
 
 
 def test_criterion_6d_deterministic_replay(tmp_path):
@@ -220,7 +221,7 @@ def test_criterion_6d_deterministic_replay(tmp_path):
 def test_criterion_6e_exploration_waypoint_minimality():
     rng = np.random.default_rng(103)
     geom = GridGeometry(12.0, 0.25)
-    mask = geom.in_ball_mask()
+    mask = geom.in_ball_mask
     bad = 0
     for _ in range(1000):
         weights = rng.uniform(0.0, 35.0, size=(geom.n, geom.n))

@@ -107,6 +107,18 @@ def test_explore_when_nothing_known():
     assert len(brain.own_pheromones) == 1
 
 
+def test_packet_carries_the_senders_deposit_array():
+    brain = make_brain()
+    step(brain)
+    held = brain.own_pheromones
+    before = held.tobytes()
+    packet, _, _ = step(brain)
+    assert packet.pheromones is held
+    step(brain)
+    # Storage rounds build new arrays, so the broadcast one never changes.
+    assert brain.own_pheromones is not held and held.tobytes() == before
+
+
 def test_detection_triggers_exploitation():
     brain = make_brain()
     packet, u, telem = step(brain, [det(1, [2.0, 0.0], 1e-3)])
@@ -225,8 +237,8 @@ def next_waypoint(cov, carried, shift=(0.0, 0.0), own_pos=(15.0, 15.0),
     each with covariance ``cov``.  Returns (brain, waypoint)."""
     brain = make_brain(grid_geom=GridGeometry(4.0, 0.25),
                        pher_cfg=PheromoneConfig(footprint_radius=0.5))
-    brain.own_pheromones = ph.PheromoneList(1, np.array(
-        [(x, y, *cov.ravel(), w) for x, y, w in deposits]))
+    brain.own_pheromones = np.array(
+        [(x, y, *cov.ravel(), w) for x, y, w in deposits])
     brain.carried = (np.array(carried[0]), carried[1])
     wp = brain._pheromone_waypoint(np.array(shift), np.array(own_pos))
     assert brain.carried[0] is wp
@@ -354,7 +366,7 @@ def _reference_negative_info(brain, local, neighbors, detections, heading,
     reach = max(cfg.fov.range_bl - 0.25, 1e-6)
     half = max(cfg.fov.half_angle - 0.05, 1e-6)
     bump = 1.0 * np.eye(2)
-    lifetime = cfg.pher_cfg.max_list_length()
+    lifetime = cfg.pher_cfg.max_list_length
 
     def clamp_rel(rel):
         ox, oy = float(own_pos[0]), float(own_pos[1])
@@ -369,11 +381,10 @@ def _reference_negative_info(brain, local, neighbors, detections, heading,
         if math.hypot(mean[0], mean[1]) > cfg.grid_geom.radius:
             return False
         deposits = brain._all_pheromones()
-        if not len(deposits) or not deposits.delta_only():
+        if not len(deposits) or not ph.delta_only(deposits):
             return False
         value = ph.pheromone_value_at(
-            mean, deposits.positions, deposits.weights,
-            cfg.pher_cfg.footprint_radius, cfg.grid_geom)
+            mean, deposits, cfg.pher_cfg.footprint_radius, cfg.grid_geom)
         return value > cfg.pher_cfg.w_floor
 
     holdings = [(local, None)]
@@ -409,7 +420,7 @@ def test_negative_info_bit_identical_to_array_records():
         rows = np.zeros((int(rng.integers(0, 30)), 7))
         rows[:, :2] = rng.uniform(-8.0, 8.0, (len(rows), 2))
         rows[:, 6] = rng.uniform(0.05, 35.0, len(rows))
-        brain.own_pheromones = ph.PheromoneList(1, rows)
+        brain.own_pheromones = rows
         spec = _spec_holding(rng, 1, 5, [1, 2, 3, 4], pool,
                              brain.step_count)
         new, ref = _materialize(spec, True), _materialize(spec, False)
@@ -429,6 +440,6 @@ def test_negative_info_bit_identical_to_array_records():
                       zip(new[0].records.values(), before))
         stale = [r for r in new[0].records.values()
                  if brain.step_count - r.last_update_step
-                 > brain.cfg.pher_cfg.max_list_length()]
+                 > brain.cfg.pher_cfg.max_list_length]
         searched += bool(stale) and brain.explorer is None
     assert bumped > 50 and searched > 5

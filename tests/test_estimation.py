@@ -158,12 +158,3 @@ def test_estimate_converts_only_what_is_not_float64_of_its_shape():
         assert e.cov.dtype == np.float64 and e.cov.shape == (2, 2)
         assert np.array_equal(e.mean, [1.0, 2.0])
         assert np.array_equal(e.cov, np.eye(2))
-
-
-def test_estimate_copy_is_deep():
-    e = GaussianEstimate([1.0, 2.0], np.eye(2))
-    c = e.copy()
-    c.mean[0] = 99.0
-    c.cov[0, 0] = 99.0
-    assert e.mean[0] == 1.0
-    assert e.cov[0, 0] == 1.0

@@ -292,6 +292,35 @@ def test_calibration_csv_config_roundtrip(tmp_path):
         assert len(got) == 300 and got == want, seed
 
 
+def test_calibration_csv_is_parsed_once_per_config(tmp_path, monkeypatch):
+    import pherotrack.harness as harness
+    import pherotrack.sensing as sensing
+    import pherotrack.world as world
+    preset = hardware_table_preset()
+    table = sensing.synthetic_calibration_table(
+        preset.cov_map(), sensing.SectorFov(preset.r_s, preset.half_angle))
+    path = tmp_path / "calib.csv"
+    sensing.save_calibration_csv(table, path)
+    loads = []
+    # Count the loads in every namespace the package looks the loader up in.
+    for module in (world, harness):
+        real = getattr(module, "load_calibration_csv", None)
+        if real is not None:
+            monkeypatch.setattr(
+                module, "load_calibration_csv",
+                lambda *a, real=real, **kw: loads.append(1) or real(*a, **kw))
+    counts = []
+    for runs in (1, 3):
+        loads.clear()
+        run_monte_carlo(ExperimentSpec(
+            config=hardware_table_preset(calibration_csv=str(path)),
+            runs=runs, max_steps=5))
+        counts.append(len(loads))
+    # One parse when the config is built and one when the batch re-checks
+    # it; none per seed.
+    assert counts == [2, 2]
+
+
 def test_pheromone_map_dump(tmp_path):
     simulate_run(small_cfg(), "pheromone", "greedy-distributed",
                  max_steps=20, seed=4, stop_when_tracked=False,
@@ -329,7 +358,7 @@ def test_map_dump_is_the_map_the_agent_steers_by(tmp_path, monkeypatch):
             assert filecmp.cmp(tmp_path / sub / name, tmp_path / "want.pgm",
                                shallow=False)
             deposits = b._all_pheromones()
-            stamped = delta_map(deposits.positions, deposits.weights,
+            stamped = delta_map(deposits[:, :2], deposits[:, 6],
                                 b.cfg.pher_cfg.footprint_radius,
                                 b.cfg.grid_geom)
             stamped.to_pgm(tmp_path / "stamped.pgm")

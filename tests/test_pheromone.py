@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from pherotrack.pheromone import (ARGMIN_TOL, GridGeometry, PheromoneConfig,
-                                  PheromoneGrid, PheromoneList, build_map,
-                                  delta_map, diffuse_region,
-                                  exploration_waypoint, pheromone_value_at,
-                                  update_pheromones)
+                                  PheromoneGrid, build_map, delta_map,
+                                  deposit_map, diffuse_region,
+                                  exploration_waypoint, no_deposits,
+                                  pheromone_value_at, update_pheromones)
 
 ZERO2 = np.zeros(2)
 ZERO22 = np.zeros((2, 2))
@@ -24,7 +24,18 @@ def default_cfg(**kw):
 
 def step_own(own, cfg, n=1, shift=ZERO2, sigma=ZERO22):
     for _ in range(n):
-        update_pheromones(own, {}, [], shift, sigma, cfg)
+        own = update_pheromones(own, {}, [], shift, sigma, cfg)
+    return own
+
+
+def deposit(position, cov, weight):
+    """A one-row deposit list."""
+    return np.concatenate((np.ravel(position), np.ravel(cov), (weight,)))[None]
+
+
+def triple(rows):
+    """(positions, covariances, weights) of a deposit list."""
+    return rows[:, :2], rows[:, 2:6].reshape(-1, 2, 2), rows[:, 6]
 
 
 def test_config_validation():
@@ -38,23 +49,21 @@ def test_config_validation():
 
 def test_single_decay_step():
     cfg = default_cfg()
-    own = PheromoneList(1)
-    own.append([0.0, 0.0], ZERO22, 35.0)
-    update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
+    own = deposit([0.0, 0.0], ZERO22, 35.0)
+    own = update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
     # Old deposit decays 35 -> 29.4; a fresh one is stamped at full weight.
     assert len(own) == 2
-    assert math.isclose(sorted(own.weights)[0], 29.4)
-    assert math.isclose(sorted(own.weights)[1], 35.0)
+    assert math.isclose(sorted(triple(own)[2])[0], 29.4)
+    assert math.isclose(sorted(triple(own)[2])[1], 35.0)
 
 
 def test_deposit_deleted_at_floor():
     cfg = default_cfg()
-    own = PheromoneList(1)
-    own.append([1.0, 1.0], ZERO22, 0.11)
-    update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
+    own = deposit([1.0, 1.0], ZERO22, 0.11)
+    own = update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
     # 0.11 * 0.84 = 0.0924 <= 0.1: gone; only the fresh deposit remains.
     assert len(own) == 1
-    assert math.isclose(own.weights[0], 35.0)
+    assert math.isclose(triple(own)[2][0], 35.0)
 
 
 def test_deposit_lifetime_is_exactly_34_steps():
@@ -63,50 +72,48 @@ def test_deposit_lifetime_is_exactly_34_steps():
     assert 35.0 * 0.84 ** 33 > 0.1
     assert 35.0 * 0.84 ** 34 <= 0.1
     # Empirically: a marked deposit survives 34 storage rounds.
-    own = PheromoneList(1)
-    own.append([123.0, 0.0], ZERO22, cfg.w_init)   # distinguishable position
+    # A distinguishable position.
+    own = deposit([123.0, 0.0], ZERO22, cfg.w_init)
     alive = 0
     for _ in range(50):
-        if any(p[0] == 123.0 for p in own.positions):
+        if any(p[0] == 123.0 for p in triple(own)[0]):
             alive += 1
-        update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
+        own = update_pheromones(own, {}, [], ZERO2, ZERO22, cfg)
     assert alive == 34
 
 
 def test_steady_state_list_length_and_bound():
     cfg = default_cfg()
-    own = PheromoneList(1)
-    step_own(own, cfg, n=60)
+    own = step_own(no_deposits(), cfg, n=60)
     assert len(own) == 34
-    assert len(own) <= cfg.max_list_length()
+    assert len(own) <= cfg.max_list_length
 
 
 def test_shift_and_covariance_growth():
     cfg = default_cfg()
-    own = PheromoneList(1)
-    own.append([1.0, 2.0], ZERO22, 35.0)
-    update_pheromones(own, {}, [], [0.5, -0.5], 0.01 * np.eye(2), cfg)
-    assert np.allclose(own.positions[0], [1.5, 1.5])
-    assert np.allclose(own.covs[0], 0.01 * np.eye(2))
+    own = deposit([1.0, 2.0], ZERO22, 35.0)
+    own = update_pheromones(own, {}, [], [0.5, -0.5], 0.01 * np.eye(2), cfg)
+    positions, covs, _ = triple(own)
+    assert np.allclose(positions[0], [1.5, 1.5])
+    assert np.allclose(covs[0], 0.01 * np.eye(2))
     # The fresh deposit marks the previously-occupied point = the shift.
-    assert np.allclose(own.positions[1], [0.5, -0.5])
+    assert np.allclose(positions[1], [0.5, -0.5])
 
 
 def test_received_list_replaces_and_converts_frame():
     cfg = default_cfg()
-    own = PheromoneList(1)
+    own = no_deposits()
     neighbors = {}
-    incoming = PheromoneList(2)
-    incoming.append([1.0, 0.0], ZERO22, 10.0)
-    update_pheromones(own, neighbors, [(2, incoming, [5.0, 5.0])],
-                      ZERO2, ZERO22, cfg)
-    assert np.allclose(neighbors[2].positions[0], [6.0, 5.0])
+    incoming = deposit([1.0, 0.0], ZERO22, 10.0)
+    own = update_pheromones(own, neighbors, [(2, incoming, [5.0, 5.0])],
+                            ZERO2, ZERO22, cfg)
+    assert np.allclose(triple(neighbors[2])[0][0], [6.0, 5.0])
     # The sender's copy is untouched.
-    assert np.allclose(incoming.positions[0], [1.0, 0.0])
+    assert np.allclose(triple(incoming)[0][0], [1.0, 0.0])
     # Silent next round: the stored copy decays and shifts like our own.
     update_pheromones(own, neighbors, [], [1.0, 0.0], ZERO22, cfg)
-    assert np.allclose(neighbors[2].positions[0], [7.0, 5.0])
-    assert math.isclose(neighbors[2].weights[0], 8.4)
+    assert np.allclose(triple(neighbors[2])[0][0], [7.0, 5.0])
+    assert math.isclose(triple(neighbors[2])[2][0], 8.4)
 
 
 # -- diffusion and map building ---------------------------------------------
@@ -115,14 +122,14 @@ def test_received_list_replaces_and_converts_frame():
 def test_diffuse_delta_cov_is_weighted_disk():
     geom = GridGeometry(3.0, 0.5)
     region = diffuse_region(ZERO2, ZERO22, 7.0, 1.0, geom)
-    xs, ys = geom.centers()
+    xs, ys = geom.centers
     want = 7.0 * ((xs ** 2 + ys ** 2) <= 1.0)
     assert np.array_equal(region, want)
 
 
 def naive_diffuse(position, cov, weight, footprint_radius, geom):
     """Direct-convolution oracle for diffuse_region (delta-free path)."""
-    xs, ys = geom.centers()
+    xs, ys = geom.centers
     disk = ((xs - position[0]) ** 2
             + (ys - position[1]) ** 2 <= footprint_radius ** 2).astype(float)
     sig_max = math.sqrt(max(np.linalg.eigvalsh(cov).max(), 0.0))
@@ -211,18 +218,31 @@ def test_delta_map_equals_build_map_over_diffused_regions():
         assert np.array_equal(got, want)
 
 
+def test_deposit_map_stamps_delta_rows_and_diffuses_the_rest():
+    geom = GridGeometry(4.0, 0.25)
+    rows = np.concatenate([deposit([1.0, -1.0], ZERO22, 5.0),
+                           deposit([-2.0, 0.5], ZERO22, 9.0)])
+    want = delta_map(rows[:, :2], rows[:, 6], 1.5, geom).weights
+    assert deposit_map(rows, 1.5, geom).weights.tobytes() == want.tobytes()
+    rows[1, 2:6] = (0.04, 0.01, 0.01, 0.09)
+    want = build_map([diffuse_region(p, c, w, 1.5, geom)
+                      for p, c, w in zip(*triple(rows))], geom).weights
+    assert deposit_map(rows, 1.5, geom).weights.tobytes() == want.tobytes()
+    assert not deposit_map(no_deposits(), 1.5, geom).weights.any()
+
+
 def test_pheromone_value_at_matches_delta_map():
     rng = np.random.default_rng(41)
     geom = GridGeometry(6.0, 0.25)
     positions = rng.uniform(-5.0, 5.0, size=(10, 2))
     weights = rng.uniform(0.5, 35.0, size=10)
+    rows = np.concatenate([deposit(p, ZERO22, w)
+                           for p, w in zip(positions, weights)])
     grid = delta_map(positions, weights, 2.0, geom)
     for _ in range(200):
         pt = rng.uniform(-6.0, 6.0, 2)
-        assert pheromone_value_at(pt, positions, weights, 2.0, geom) \
-            == grid.value_at(pt)
-    assert pheromone_value_at([0.0, 0.0], np.empty((0, 2)), np.empty(0),
-                              2.0, geom) == 0.0
+        assert pheromone_value_at(pt, rows, 2.0, geom) == grid.value_at(pt)
+    assert pheromone_value_at([0.0, 0.0], no_deposits(), 2.0, geom) == 0.0
 
 
 def test_pgm_dump(tmp_path):
@@ -244,7 +264,7 @@ def test_pgm_dump(tmp_path):
 def test_waypoint_minimality_over_randomized_maps():
     rng = np.random.default_rng(43)
     geom = GridGeometry(12.0, 0.25)
-    mask = geom.in_ball_mask()
+    mask = geom.in_ball_mask
     for _ in range(1000):
         weights = rng.uniform(0.0, 35.0, size=(geom.n, geom.n))
         grid = PheromoneGrid(geom, weights)
@@ -258,7 +278,7 @@ def test_waypoint_minimality_over_randomized_maps():
 def test_waypoint_uniform_tie_break_hits_all_minima():
     geom = GridGeometry(1.0, 0.5)      # 4x4 grid, tiny
     weights = np.ones((geom.n, geom.n))
-    mask = geom.in_ball_mask()
+    mask = geom.in_ball_mask
     lows = [(1, 1), (2, 2)]
     for i, j in lows:
         weights[i, j] = 0.0
@@ -388,12 +408,12 @@ def test_index_of_matches_np_clip():
 
 def test_geometry_caches_are_shared_and_read_only():
     geom = GridGeometry(3.0, 0.5)
-    xs, ys = geom.centers()
-    assert geom.centers()[0] is xs
+    xs, ys = geom.centers
+    assert geom.centers[0] is xs
     want_x, want_y = np.meshgrid(geom.coords, geom.coords, indexing="ij")
     assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
-    mask = geom.in_ball_mask()
-    assert geom.in_ball_mask() is mask
+    mask = geom.in_ball_mask
+    assert geom.in_ball_mask is mask
     assert np.array_equal(mask, want_x ** 2 + want_y ** 2 <= 3.0 ** 2)
     with pytest.raises(ValueError):
         xs[0, 0] = 1.0
@@ -428,18 +448,14 @@ def reference_update(own, neighbors, rx, shift, sigma, cfg):
     return own
 
 
-def triple(plist):
-    return (plist.positions, plist.covs, plist.weights)
-
-
 def test_storage_round_bit_identical_to_reference():
     rng = np.random.default_rng(61)
     cfg = default_cfg()
     for trial in range(4):
         noisy = trial % 2 == 1
-        own, neighbors = PheromoneList(1), {}
+        own, neighbors = no_deposits(), {}
         ref_own, ref_neighbors = triple(own), {}
-        senders = {s: PheromoneList(s) for s in (2, 3, 4)}
+        senders = {s: no_deposits() for s in (2, 3, 4)}
         for t in range(120):
             shift = rng.normal(0.0, 0.3, 2)
             m = rng.normal(0.0, 0.03, (2, 2))
@@ -448,11 +464,12 @@ def test_storage_round_bit_identical_to_reference():
             if t % 3 == 0:
                 for s in rng.choice(list(senders), int(rng.integers(0, 4)),
                                     replace=False):
-                    step_own(senders[s], cfg, shift=rng.normal(0, 0.3, 2),
-                             sigma=sigma)
+                    senders[s] = step_own(senders[s], cfg,
+                                          shift=rng.normal(0, 0.3, 2),
+                                          sigma=sigma)
                     rx.append((int(s), senders[s], rng.normal(0, 4.0, 2)))
             ref_rx = [(s, triple(pl), off) for s, pl, off in rx]
-            update_pheromones(own, neighbors, rx, shift, sigma, cfg)
+            own = update_pheromones(own, neighbors, rx, shift, sigma, cfg)
             ref_own = reference_update(ref_own, ref_neighbors, ref_rx,
                                        shift, sigma, cfg)
             for got, want in [(own, ref_own)] + [
@@ -460,25 +477,22 @@ def test_storage_round_bit_identical_to_reference():
                 for g, w in zip(triple(got), want):
                     assert g.shape == w.shape
                     assert g.tobytes() == np.ascontiguousarray(w).tobytes()
-        assert len(own) == cfg.max_list_length() - 1 == 34
+        assert len(own) == cfg.max_list_length - 1 == 34
 
 
 def test_packets_and_received_lists_share_no_writes():
     cfg = default_cfg()
-    sender = PheromoneList(2)
-    step_own(sender, cfg, n=5, shift=np.array([0.3, 0.0]))
-    snapshot = sender.copy()
-    assert snapshot.rows is sender.rows
-    before = sender.rows.copy()
+    snapshot = step_own(no_deposits(), cfg, n=5, shift=np.array([0.3, 0.0]))
+    before = snapshot.copy()
     a, b = {}, {}
-    update_pheromones(PheromoneList(1), a, [(2, snapshot, [1.0, 0.0])],
+    update_pheromones(no_deposits(), a, [(2, snapshot, [1.0, 0.0])],
                       ZERO2, ZERO22, cfg)
-    update_pheromones(PheromoneList(3), b, [(2, snapshot, [0.0, 2.0])],
+    update_pheromones(no_deposits(), b, [(2, snapshot, [0.0, 2.0])],
                       ZERO2, ZERO22, cfg)
     # The sender moves on and the receivers decay their copies.
-    step_own(sender, cfg, n=2, shift=np.array([0.5, 0.5]))
-    update_pheromones(PheromoneList(1), a, [], [1.0, 1.0], ZERO22, cfg)
-    assert snapshot.rows.tobytes() == before.tobytes()
-    assert np.array_equal(b[2].positions, before[:, :2] + [0.0, 2.0])
-    assert np.array_equal(a[2].positions,
+    step_own(snapshot, cfg, n=2, shift=np.array([0.5, 0.5]))
+    update_pheromones(no_deposits(), a, [], [1.0, 1.0], ZERO22, cfg)
+    assert snapshot.tobytes() == before.tobytes()
+    assert np.array_equal(triple(b[2])[0], before[:, :2] + [0.0, 2.0])
+    assert np.array_equal(triple(a[2])[0],
                           (before[:, :2] + [1.0, 0.0]) + [1.0, 1.0])

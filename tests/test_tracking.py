@@ -32,6 +32,11 @@ def neighbor(records, rel):
     return NeighborTargetList(records, *to_flat(rel))
 
 
+def copied(e):
+    """An estimate of fresh copies of ``e``'s arrays."""
+    return GaussianEstimate(e.mean.copy(), e.cov.copy())
+
+
 def arrays(mean, cov):
     """A flat (mean, cov) pair as an estimate of fresh arrays."""
     return GaussianEstimate(np.array(mean), np.array(cov).reshape(2, 2))
@@ -76,7 +81,7 @@ def test_redetection_fuses_and_matches_manual_oracle():
     meas = est([2.2, 0.1], 0.05)
     local = LocalTargetList()
     local.records[1] = TargetRecord(1, *to_flat(prior))
-    update_storage(local, {}, [(1, meas.copy())], [], [0.1, 0.0],
+    update_storage(local, {}, [(1, copied(meas))], [], [0.1, 0.0],
                    np.zeros((2, 2)), c, step=9)
     want = array_fuse(array_propagate(prior, [0.1, 0.0], c.q_bar), meas)
     got = local.records[1]
@@ -98,7 +103,7 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     neighbors = {}
     records = [record(3, [1.0, 1.0], 0.2)]
     rel = est([5.0, 0.0], 0.5)
-    update_storage(local, neighbors, [], [(2, records, rel.copy())],
+    update_storage(local, neighbors, [], [(2, records, copied(rel))],
                    np.zeros(2), np.zeros((2, 2)), c, step=1)
     nl = neighbors[2]
     assert set(nl.records) == {3}
@@ -119,7 +124,7 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     # Second packet: predicted rel_pos fused with the fresh measurement.
     rel2 = est([5.5, 0.0], 0.5)
     prev = arrays(nl.rel_mean, nl.rel_cov)
-    update_storage(local, neighbors, [], [(2, records, rel2.copy())],
+    update_storage(local, neighbors, [], [(2, records, copied(rel2))],
                    np.zeros(2), np.zeros((2, 2)), c, step=2)
     growth = np.zeros((2, 2)) + c.motion_var * np.eye(2)
     want = array_fuse(array_propagate(prev, np.zeros(2), growth), rel2)
@@ -419,7 +424,7 @@ def ref_update_storage(local, neighbors, detections, rx_packets, shift,
         else:
             rec.estimate = predicted
     for tid, e in det_by_id.items():
-        local.records[tid] = RefRecord(tid, e.copy(), step)
+        local.records[tid] = RefRecord(tid, copied(e), step)
     ref_prune(local.records, cfg.sigma_bar)
     rel_growth = sigma_shift + cfg.motion_var * EYE2
     heard_from = set()
@@ -430,7 +435,7 @@ def ref_update_storage(local, neighbors, detections, rx_packets, shift,
             nlist = neighbors[sender] = RefNeighbor(sender)
         nlist.records = {r.target_id: r.copy() for r in records}
         if nlist.rel_pos is None:
-            nlist.rel_pos = rel_meas.copy()
+            nlist.rel_pos = copied(rel_meas)
         else:
             predicted = array_propagate(nlist.rel_pos, shift, rel_growth)
             nlist.rel_pos = array_fuse(predicted, rel_meas)
@@ -518,7 +523,7 @@ def ref_combined_estimate(holdings, target_ids):
             sources = [e if rel is None
                        else transform_neighbor_estimate(e, rel)
                        for e, rel in chain]
-            est = sources[0].copy()
+            est = copied(sources[0])
             for s in sources[1:]:
                 est = array_fuse(est, s)
             out[key] = est

@@ -7,7 +7,7 @@ import pytest
 
 from pherotrack.agent import BroadcastPacket, ControlInput
 from pherotrack.estimation import EPS_INV
-from pherotrack.pheromone import PheromoneList
+from pherotrack.pheromone import no_deposits
 from pherotrack.sensing import sector_polar
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
                               deliver_broadcasts, hardware_table_preset,
@@ -360,7 +360,7 @@ def test_sense_displacement_exact_when_noiseless():
 
 
 def packet(sender):
-    return BroadcastPacket(sender=sender, pheromones=PheromoneList(sender),
+    return BroadcastPacket(sender=sender, pheromones=no_deposits(),
                            targets=[])
 
 
