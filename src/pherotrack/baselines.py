@@ -1,6 +1,7 @@
 """Comparison algorithms: the baseline :class:`Explorer` with its Levy-walk
-and anti-flocking draws, local-greedy selection, and centralized auction
-assignment with its team-wide oracle.
+and anti-flocking draws, local-greedy selection, and the centralized auction
+baseline: its exact least-cost assignment and the team-wide oracle that
+applies it.
 
 These deliberately get capabilities the proposed stack does not have (the
 auction oracle sees every agent's table; anti-flocking gets global positions
@@ -15,19 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from scipy.optimize import linear_sum_assignment
 from scipy.signal import fftconvolve
 
 from .estimation import add4, flat_entropy
 
 LEVY_MU = 1.5                # power-law tail exponent of the leg length
 LEVY_STEP_MIN = 1.0          # shortest leg (bl)
-AUCTION_EPSILON = 0.01       # final bid increment
-AUCTION_MAX_ROUNDS = 100_000
 VISITED_CELL = 1.0           # side of a visited-map cell (bl)
-
-
-class NoFeasibleAssignmentError(ValueError):
-    """A bidder in the auction has no finite-value object to bid on."""
 
 
 def levy_step_length(step_max: float, rng) -> float:
@@ -99,112 +95,25 @@ def local_greedy_select(local, fov_contains) -> int:
 
 
 def auction_assign(costs) -> dict:
-    """Bertsekas auction over an agents x targets cost table.
+    """Least-cost assignment over an agents x targets cost table: the result
+    the paper's centralized auction baseline converges to.
 
-    Missing pairs carry +inf cost.  Bidding runs on the smaller side (targets
-    bid for agents when agents are plentiful) so every target that someone
-    knows about ends up assigned, injectively, to a distinct agent.  With a
-    bid increment below the cost granularity the result matches the optimal
-    assignment.
+    The smaller side is matched injectively into the larger one, exactly
+    (scipy's rectangular Jonker-Volgenant solver); an all-equal table pairs
+    the lowest indices.  Missing pairs carry +inf cost, and scipy raises
+    ``ValueError`` if every complete matching needs one.
 
     Returns a dict agent_index -> target_index.
     """
-    costs = np.asarray(costs, dtype=float)
-    n_agents, n_targets = costs.shape
-    values = np.where(np.isfinite(costs), -costs, -np.inf)
-
-    if n_targets <= n_agents:
-        pairing = _auction_core(values.T)            # target bids for agents
-        return {agent: tgt for tgt, agent in pairing.items()}
-    pairing = _auction_core(values)                  # agent bids for targets
-    return dict(pairing)
-
-
-def _pad_square(values):
-    """Append zero-value dummy bidders until the problem is square.
-
-    With fewer bidders than objects, a price inflated during an early
-    scaling phase can be left on an object that finishes unassigned, and
-    the near-optimality argument (which cancels price sums between any two
-    assignments) no longer applies.  Dummy bidders value every object
-    equally, so they absorb the surplus objects without changing which real
-    assignment is optimal, and every phase ends in a perfect matching.
-    """
-    n_bidders, n_objects = values.shape
-    if n_bidders == n_objects:
-        return values
-    pad = np.zeros((n_objects - n_bidders, n_objects))
-    return np.vstack([values, pad])
-
-
-def _auction_core(values) -> dict:
-    """Forward auction with epsilon scaling.
-
-    Every row (bidder) ends up with a distinct column.  Bidding runs in
-    phases of decreasing increment, prices carrying over, so termination
-    stays fast even when the cost range dwarfs the final epsilon.
-    """
-    n_real, _ = values.shape
-    if n_real > values.shape[1]:
-        raise NoFeasibleAssignmentError("more bidders than objects")
-    if not np.isfinite(values).any(axis=1).all():
-        raise NoFeasibleAssignmentError("a bidder has no feasible object")
-    values = _pad_square(values)
-    n_bidders, n_objects = values.shape
-
-    finite = values[np.isfinite(values)]
-    value_range = (finite.max() - finite.min()) if len(finite) else 1.0
-    lock_bid = value_range + 1.0
-
-    schedule = []
-    eps = max(AUCTION_EPSILON, value_range / 2.0)
-    while eps > AUCTION_EPSILON:
-        schedule.append(eps)
-        eps /= 8.0
-    schedule.append(AUCTION_EPSILON)
-
-    prices = np.zeros(n_objects)
-    rounds = 0
-    for eps in schedule:
-        owner = {}
-        assignment = {}
-        unassigned = list(range(n_bidders))
-        # In a feasible phase the total price increase is bounded; a price
-        # running away past this ceiling means two bidders are locked in a
-        # bid war over an object only one of them can concede, i.e. no
-        # perfect matching exists.
-        ceiling = prices.max() + (n_bidders + 2) * (lock_bid + eps + 1.0)
-        while unassigned:
-            rounds += 1
-            if rounds > AUCTION_MAX_ROUNDS:
-                raise RuntimeError("auction failed to terminate")
-            if prices.max() > ceiling:
-                raise NoFeasibleAssignmentError(
-                    "bid war: no perfect matching over finite-value pairs")
-            i = unassigned.pop()
-            net = values[i] - prices
-            j = int(np.argmax(net))
-            best = net[j]
-            if not np.isfinite(best):
-                raise NoFeasibleAssignmentError(
-                    f"bidder {i} priced out of all objects")
-            net[j] = -np.inf
-            second = net.max()
-            raise_by = (best - second + eps) if np.isfinite(second) \
-                else (lock_bid + eps)
-            prices[j] += raise_by
-            if j in owner:
-                unassigned.append(owner[j])
-                del assignment[owner[j]]
-            owner[j] = i
-            assignment[i] = j
-    return {i: j for i, j in assignment.items() if i < n_real}
+    agents, targets = linear_sum_assignment(costs)
+    return dict(zip(agents.tolist(), targets.tolist()))
 
 
 @dataclass
 class AuctionOracle:
-    """Team-wide auction: ``assignment`` (agent index -> forced target id) is
-    recomputed every ``PERIOD`` steps and whenever the known targets change."""
+    """Team-wide auction oracle: ``assignment`` (agent index -> forced target
+    id) is the least-cost assignment of :func:`_team_auction`, recomputed
+    every ``PERIOD`` steps and whenever the known targets change."""
 
     PERIOD = 15     # unannotated: a constant, not a field
     assignment: dict = field(init=False, default_factory=dict)
@@ -230,7 +139,9 @@ def _team_auction(brains, known, prev):
     previous assignment persist while the agent still has a view and nobody
     else's view is dramatically sharper; without that hysteresis the near-tied
     broadcast copies make the winner rotate every recomputation and no agent
-    ever settles.  Returns agent index -> 1-based target id.
+    ever settles.  The free agents and targets then get the exact least-cost
+    assignment (:func:`auction_assign`).  Returns agent index -> 1-based
+    target id.
     """
     if not known:
         return {}

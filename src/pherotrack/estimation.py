@@ -113,9 +113,13 @@ def inv2(c, check=True):
     entries = c.reshape(-1, 4).T
     if check:
         _check_invertible(*entries)
-    # np.stack keeps the result C-contiguous: np.matmul picks its kernel, and
-    # so its rounding, by memory layout.
-    return np.stack(_inv_entries(*entries), axis=-1).reshape(c.shape)
+    # Written through the transpose of a C-contiguous buffer, so the result
+    # is C-contiguous: np.matmul picks its kernel, and so its rounding, by
+    # memory layout.
+    out = np.empty((len(entries[0]), 4))
+    rows = out.T
+    rows[0], rows[1], rows[2], rows[3] = _inv_entries(*entries)
+    return out.reshape(c.shape)
 
 
 def fuse(a_mean, a_cov, b_mean, b_cov):

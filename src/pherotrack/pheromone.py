@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .estimation import EYE2
+from .estimation import EYE2, inv2
 
 # Covariances whose largest entry is below this are treated as delta kernels.
 _DELTA_COV_TOL = 1e-12
@@ -199,7 +199,8 @@ def diffuse_region(position, cov, weight, footprint_radius: float,
     half = max(1, int(math.ceil(3.0 * sig_max / geometry.cell_size)))
     ax = np.arange(-half, half + 1) * geometry.cell_size
     kx, ky = np.meshgrid(ax, ax, indexing="ij")
-    inv = np.linalg.inv(cov + EYE2 * 1e-12)
+    # The jitter keeps a singular odometry covariance invertible.
+    inv = inv2(cov + EYE2 * 1e-12, check=False)
     quad = inv[0, 0] * kx ** 2 + 2 * inv[0, 1] * kx * ky + inv[1, 1] * ky ** 2
     kernel = np.exp(-0.5 * quad)
     kernel[quad > 9.0] = 0.0  # truncate at 3 sigma (Mahalanobis)

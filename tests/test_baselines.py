@@ -1,8 +1,8 @@
 """Tests for the comparison algorithms.
 
 The auction is checked against an exhaustive permutation oracle on random
-integer-valued tables, where the bid increment is strictly below the cost
-granularity and the result must therefore be exactly optimal.
+tables, integer-valued and at the tracker's determinant scale; the solver is
+exact, so it must match the optimum on both.
 """
 
 import inspect
@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN, Explorer,
-                                  NoFeasibleAssignmentError, VisitedMap,
-                                  antiflocking_waypoint, auction_assign,
-                                  levy_step_length, levy_waypoint,
-                                  local_greedy_select)
+                                  VisitedMap, antiflocking_waypoint,
+                                  auction_assign, levy_step_length,
+                                  levy_waypoint, local_greedy_select)
 from pherotrack.estimation import GaussianEstimate, to_flat
 from pherotrack.tracking import LocalTargetList, TargetRecord
 
@@ -154,22 +153,22 @@ def test_local_greedy_picks_least_uncertain_in_fov():
 
 
 def brute_force_optimum(costs):
-    """Exhaustive minimum-cost injective assignment of the smaller side."""
+    """Exhaustive minimum-cost injective assignment of the smaller side,
+    each total summed in agent order as :func:`assignment_cost` sums it."""
     n_a, n_t = costs.shape
     best = math.inf
     if n_t <= n_a:
         for perm in itertools.permutations(range(n_a), n_t):
-            total = sum(costs[perm[j], j] for j in range(n_t))
-            best = min(best, total)
+            pairing = dict(zip(perm, range(n_t)))
+            best = min(best, assignment_cost(costs, pairing))
     else:
         for perm in itertools.permutations(range(n_t), n_a):
-            total = sum(costs[i, perm[i]] for i in range(n_a))
-            best = min(best, total)
+            best = min(best, assignment_cost(costs, dict(enumerate(perm))))
     return best
 
 
 def assignment_cost(costs, pairing):
-    return sum(costs[a, t] for a, t in pairing.items())
+    return sum(costs[a, t] for a, t in sorted(pairing.items()))
 
 
 def test_auction_matches_brute_force_on_random_tables():
@@ -177,8 +176,6 @@ def test_auction_matches_brute_force_on_random_tables():
     for _ in range(1000):
         n_a = int(rng.integers(1, 6))
         n_t = int(rng.integers(1, 6))
-        # Integer costs: granularity 1 dwarfs n * epsilon, so the auction
-        # result must be exactly optimal.
         costs = rng.integers(0, 100, size=(n_a, n_t)).astype(float)
         pairing = auction_assign(costs)
         assert len(pairing) == min(n_a, n_t)
@@ -187,11 +184,38 @@ def test_auction_matches_brute_force_on_random_tables():
             == brute_force_optimum(costs)
 
 
+@pytest.mark.parametrize("more_agents", [False, True])
+def test_auction_is_optimal_at_the_tracker_cost_scale(more_agents):
+    # The oracle's tables hold covariance determinants of 1e-6 to 1e-4 and
+    # a 1e6 penalty for pairs no agent sees; a bid increment coarser than
+    # the determinants returned costlier pairings on most such tables.
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        small = int(rng.integers(1, 5))
+        large = int(rng.integers(small + more_agents, 6))
+        shape = (large, small) if more_agents else (small, large)
+        costs = rng.uniform(1e-6, 1e-4, size=shape)
+        if rng.random() < 0.5:
+            costs[rng.random(shape) < 0.2] = 1e6
+        pairing = auction_assign(costs)
+        assert len(pairing) == small
+        assert len(set(pairing.values())) == small          # injective
+        assert assignment_cost(costs, pairing) \
+            == brute_force_optimum(costs)
+
+
+def test_auction_equal_costs_go_to_the_lowest_indices():
+    # The oracle's tie when every pair left is at the unknown-pair penalty.
+    assert auction_assign(np.full((2, 1), 1e6)) == {0: 0}
+    assert auction_assign(np.full((3, 2), 1e6)) == {0: 0, 1: 1}
+    assert auction_assign(np.full((2, 3), 1e6)) == {0: 0, 1: 1}
+
+
 def test_auction_with_infinite_entries():
     costs = np.array([[1.0, np.inf], [np.inf, 1.0]])
     pairing = auction_assign(costs)
     assert pairing == {0: 0, 1: 1}
-    with pytest.raises(NoFeasibleAssignmentError):
+    with pytest.raises(ValueError):
         auction_assign(np.array([[np.inf, np.inf], [1.0, 2.0]]))
 
 
@@ -205,12 +229,9 @@ def test_auction_sparse_feasible_tables_match_oracle():
         costs[rng.random(costs.shape) < 0.3] = np.inf
         if not math.isfinite(brute_force_optimum(costs)):
             continue
-        # A perfect matching of the smaller side exists; some intermediate
-        # bidders can still be priced out, which is a legal refusal.
-        try:
-            pairing = auction_assign(costs)
-        except NoFeasibleAssignmentError:
-            continue
+        # A perfect matching of the smaller side exists, so the exact
+        # solver must find it.
+        pairing = auction_assign(costs)
         assert assignment_cost(costs, pairing) == brute_force_optimum(costs)
         done += 1
 

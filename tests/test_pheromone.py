@@ -173,6 +173,17 @@ def test_diffuse_matches_naive_convolution_oracle():
         assert np.allclose(got, want, atol=1e-9)
 
 
+@pytest.mark.parametrize("var", [1e-3, 0.2])
+def test_diffuse_singular_cov_is_a_line_kernel(var):
+    # Odometry noise along one axis only: the covariance is singular, yet the
+    # deposit still diffuses (along x) instead of failing or going NaN.
+    geom = GridGeometry(2.0, 0.5)
+    deposit = (np.array([0.3, -0.2]), np.array([[var, 0.0], [0.0, 0.0]]), 9.0)
+    got = diffuse_region(*deposit, 1.0, geom)
+    assert np.isfinite(got).all() and got.max() == pytest.approx(9.0)
+    assert np.allclose(got, naive_diffuse(*deposit, 1.0, geom), atol=1e-9)
+
+
 def test_diffuse_symmetry():
     geom = GridGeometry(3.0, 0.25)
     region = diffuse_region(ZERO2, 0.2 * np.eye(2), 10.0, 1.5, geom)

@@ -64,7 +64,7 @@ CASES = {
 
 GOLDEN = {
     "pheromone/greedy-distributed": ("40ae7d76145ba844", "8b3c52ab29675237"),
-    "pheromone/auction": ("d9f34e819b386213", "2c57000c53d5854b"),
+    "pheromone/auction": ("d9f34e819b386213", "0e033ede37ead170"),
     "pheromone/local-greedy": ("cb481aa69e7eb37e", "cafeea41e8408ce5"),
     "levy/greedy-distributed": ("7b71e4f143a95fa1", "7bb5d21c6cdd9fc2"),
     "levy/auction": ("0f4c82427b55fe88", "9da75d1c4d97789b"),
