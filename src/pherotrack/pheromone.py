@@ -245,40 +245,59 @@ def delta_map(positions, weights, footprint_radius: float,
     Equivalent to :func:`build_map` over :func:`diffuse_region` outputs when
     every covariance is negligible, but stamps only the window of cells each
     disk can touch.  Weights must be finite and nonnegative.
+
+    Each disk is painted with its weight over what is already there, in
+    ascending weight order, so every cell ends at the largest weight of the
+    disks covering it: the cell-wise maximum, whatever order the deposits
+    come in.
     """
-    # A cell-wise max of constant weights does not depend on the order the
-    # disks are stamped in, and disks at one position differ only in weight,
-    # so only the largest counts (a parked agent leaves many such deposits).
-    strongest = {}
-    for point, w in zip(
-            map(tuple, np.asarray(positions, dtype=float).reshape(-1, 2)
-                .tolist()),
-            np.asarray(weights, dtype=float).tolist()):
-        if w > strongest.get(point, -math.inf):
-            strongest[point] = w
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    unplaceable = np.isnan(positions).any(axis=1)
+    if unplaceable.any():
+        # Raises int()'s ValueError, before any array cast can warn.
+        geometry.index_of(positions[unplaceable.argmax()])
+
+    # Disks at one position differ only in weight, so only the largest
+    # counts (a parked agent leaves many such deposits): sorted by position
+    # and then weight, the last row of each position is its strongest.
+    x, y = positions.T
+    order = np.lexsort((weights, y, x))
+    last = np.ones(len(order), dtype=bool)
+    np.logical_or(x[order[1:]] != x[order[:-1]],
+                  y[order[1:]] != y[order[:-1]], out=last[:-1])
+    strongest = order[last]
+    strongest = strongest[np.argsort(weights[strongest], kind="stable")]
+    centers = positions[strongest]
 
     n = geometry.n
-    half = int(math.ceil(footprint_radius / geometry.cell_size)) + 1
-    width = 2 * half + 1
     # Windows are width x width cells centered on the cell holding the
-    # deposit, on a raster padded by ``half`` cells per side so that every
-    # window fits.  The padding is cropped off at the end, so what is
-    # stamped there, and the coordinates it is given, do not matter.
-    coords = np.pad(geometry.coords, half)
-    corner = np.array([geometry.index_of(p) for p in strongest],
-                      dtype=np.intp).reshape(-1, 2)
-    centers = np.array(list(strongest)).reshape(-1, 2)
+    # deposit (clipped into the grid like GridGeometry.index_of).  A cell
+    # ``half`` + 1 or more cells from that one is at least r + cell / 2 from
+    # the deposit, so no disk reaches past its window.  The raster is padded
+    # by ``half`` cells per side so that every window fits; the padding is
+    # cropped off.
+    half = int(math.ceil(footprint_radius / geometry.cell_size))
+    width = 2 * half + 1
+    coords = ((np.arange(-half, n + half) + 0.5) * geometry.cell_size
+              - geometry.radius)
+    corner = (centers + geometry.radius) / geometry.cell_size
+    np.clip(corner, 0, n - 1, out=corner)
+    corner = corner.astype(np.intp)
     d2 = (coords[corner[:, :, None] + np.arange(width)]
           - centers[:, :, None]) ** 2
-    stamps = d2[:, 0, :, None] + d2[:, 1, None, :]
-    # True * w is w and False * w is +0.0.
-    np.multiply(stamps <= footprint_radius ** 2,
-                np.array(list(strongest.values()))[:, None, None],
-                out=stamps)
+    # disks[a, k, b]: whether window cell (a, b) is in deposit k's disk.
+    # sums[a, k * width + b] = d2[k, 0, a] + d2[k, 1, b] is the cell's
+    # squared distance.  Repeating the row terms along b first makes the
+    # add one long pass per window row, not one short one per (k, a).
+    sums = np.repeat(d2[:, 0, :].T, width, axis=1)
+    sums += d2[:, 1, :].reshape(1, -1)
+    disks = (sums <= footprint_radius ** 2).reshape(width, -1, width)
+
     padded = np.zeros((n + 2 * half, n + 2 * half))
-    for (i, j), stamp in zip(corner.tolist(), stamps):
-        window = padded[i:i + width, j:j + width]
-        np.maximum(window, stamp, out=window)
+    for (i, j), w, disk in zip(corner.tolist(), weights[strongest].tolist(),
+                               disks.transpose(1, 0, 2)):
+        np.copyto(padded[i:i + width, j:j + width], w, where=disk)
     return PheromoneGrid(geometry, padded[half:-half, half:-half].copy())
 
 
@@ -311,11 +330,14 @@ def exploration_waypoint(grid: PheromoneGrid, rng, valid=None):
     """
     geom = grid.geometry
     mask = geom.in_ball_mask
-    if valid is not None and (mask & valid).any():
-        mask = mask & valid
-    vals = np.where(mask, grid.weights, np.inf)
-    vmin = vals.min()
-    ties = np.argwhere(vals <= vmin + ARGMIN_TOL)
-    pick = ties[rng.integers(len(ties))]
-    wp = np.array([geom.coords[pick[0]], geom.coords[pick[1]]])
-    return wp, float(grid.weights[pick[0], pick[1]])
+    if valid is not None:
+        restricted = mask & valid
+        if restricted.any():
+            mask = restricted
+    vals = np.where(mask, grid.weights, np.inf).ravel()
+    # Row-major flat indices: the ties in np.argwhere's order.
+    ties = np.flatnonzero(vals <= vals.min() + ARGMIN_TOL)
+    pick = int(ties[rng.integers(len(ties))])
+    i, j = divmod(pick, geom.n)
+    wp = np.array([geom.coords[i], geom.coords[j]])
+    return wp, float(grid.weights[i, j])

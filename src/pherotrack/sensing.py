@@ -136,12 +136,20 @@ def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
     return np.einsum("m,mij->ij", w, table.covs[idx]) / w.sum()
 
 
+# Table scans already made, by table contents and FOV: every seed of a batch
+# builds an equal table, and the scan is the same for each.
+_TABLE_VIEWPOINTS: dict = {}
+_TABLE_VIEWPOINTS_MAX = 32
+
+
 def best_viewpoint(cov_source, fov: SectorFov):
     """Sensor-frame point of minimum measurement uncertainty inside the FOV.
 
     Analytic maps have a closed-form optimum at (r_best, bearing 0); table
     maps are scanned on a grid of 0.1 bl by 1 degree.  Ties break toward
     smaller range, then smaller absolute bearing, for deterministic replay.
+    A table's scan is made once per process for equal table contents and
+    FOV.
     """
     if isinstance(cov_source, AnalyticCovMap):
         if cov_source.k1 > 0:
@@ -150,6 +158,18 @@ def best_viewpoint(cov_source, fov: SectorFov):
             r = 0.0
         return np.array([r, 0.0])
 
+    key = (cov_source.points.tobytes(), cov_source.covs.tobytes(),
+           cov_source.n_neighbors, cov_source.r_max, fov.range_bl,
+           fov.half_angle)
+    viewpoint = _TABLE_VIEWPOINTS.get(key)
+    if viewpoint is None:
+        if len(_TABLE_VIEWPOINTS) >= _TABLE_VIEWPOINTS_MAX:
+            _TABLE_VIEWPOINTS.clear()
+        viewpoint = _TABLE_VIEWPOINTS[key] = _scan_table(cov_source, fov)
+    return viewpoint.copy()
+
+
+def _scan_table(table: CalibrationTable, fov: SectorFov):
     dr, dphi = 0.1, math.radians(1.0)
     ranges = np.arange(0.0, fov.range_bl + 0.5 * dr, dr)
     ranges[-1] = min(ranges[-1], fov.range_bl)
@@ -161,7 +181,7 @@ def best_viewpoint(cov_source, fov: SectorFov):
     best = None
     for r in ranges:
         for phi in bearings:
-            score = entropy(interpolate_cov(cov_source, r, phi))
+            score = entropy(interpolate_cov(table, r, phi))
             key = (score, r, abs(phi))
             if best is None or _vp_better(key, best[0]):
                 best = (key, np.array([r * math.cos(phi), r * math.sin(phi)]))

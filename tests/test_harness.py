@@ -274,6 +274,37 @@ def test_brains_share_one_agent_config(monkeypatch):
     assert len(scans) == 3
 
 
+def test_table_viewpoint_scan_is_made_once_per_equal_table(monkeypatch):
+    # Every seed of a batch builds its own, equal, calibration table; the
+    # viewpoint scan runs for the first and is reused for the rest.
+    import pherotrack.sensing as sensing
+    from pherotrack.harness import build_brains
+
+    monkeypatch.setattr(sensing, "_TABLE_VIEWPOINTS", {})
+    lookups = []
+    real_interpolate = sensing.interpolate_cov
+
+    def counted(*args):
+        lookups.append(1)
+        return real_interpolate(*args)
+
+    monkeypatch.setattr(sensing, "interpolate_cov", counted)
+    viewpoints, counts = [], []
+    for seed in (0, 1):
+        brains, _, _ = build_brains(hardware_table_preset(), "pheromone",
+                                    "greedy-distributed", seed)
+        viewpoints.append(brains[0].cfg.viewpoint)
+        counts.append(len(lookups))
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert viewpoints[1].tobytes() == viewpoints[0].tobytes()
+    # Callers get their own copy of the cached point.
+    viewpoints[1][0] = -1.0
+    again, _, _ = build_brains(hardware_table_preset(), "pheromone",
+                               "greedy-distributed", 2)
+    assert again[0].cfg.viewpoint.tobytes() == viewpoints[0].tobytes()
+    assert len(lookups) == counts[0]
+
+
 def test_calibration_csv_config_roundtrip(tmp_path):
     # A run from a CSV of the preset's own synthetic table is the preset run,
     # bit for bit: the loaded table keeps the synthetic table's r_max.

@@ -317,6 +317,56 @@ def test_waypoint_valid_mask_restricts_candidates():
     assert w == 1.0
 
 
+def reference_exploration_waypoint(grid, rng, valid=None):
+    """The previous draw: a uniform pick among np.argwhere's ties."""
+    geom = grid.geometry
+    mask = geom.in_ball_mask
+    if valid is not None and (mask & valid).any():
+        mask = mask & valid
+    vals = np.where(mask, grid.weights, np.inf)
+    vmin = vals.min()
+    ties = np.argwhere(vals <= vmin + ARGMIN_TOL)
+    pick = ties[rng.integers(len(ties))]
+    wp = np.array([geom.coords[pick[0]], geom.coords[pick[1]]])
+    return wp, float(grid.weights[pick[0], pick[1]])
+
+
+def test_waypoint_draw_matches_argwhere_reference():
+    rng = np.random.default_rng(67)
+    geom = GridGeometry(12.0, 0.25)
+    n = geom.n
+    levels = np.append(35.0 * 0.84 ** np.arange(34), 0.0)
+    xs, ys = geom.centers
+    for trial in range(240):
+        kind = trial % 4
+        if kind == 0:                       # random map, one minimum
+            weights = rng.uniform(0.0, 35.0, (n, n))
+        elif kind == 1:                     # deposit levels: many exact ties
+            weights = rng.choice(levels[-4:], (n, n))
+        elif kind == 2:                     # ties within ARGMIN_TOL
+            weights = rng.choice(levels[-3:], (n, n)) \
+                + rng.uniform(0.0, 2 * ARGMIN_TOL, (n, n))
+        else:                               # an empty map: all cells tie
+            weights = np.zeros((n, n))
+        masks = [None,
+                 rng.random((n, n)) < 0.3,
+                 np.zeros((n, n), dtype=bool),            # rules out all
+                 (xs + rng.uniform(-12.0, 12.0) >= 0.0)
+                 & (ys + rng.uniform(-12.0, 12.0) <= 0.0),  # a wall corner
+                 xs ** 2 + ys ** 2 > 12.0 ** 2]           # outside the ball
+        valid = masks[trial % len(masks)]
+        seed = int(rng.integers(2 ** 32))
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        grid = PheromoneGrid(geom, weights)
+        got_wp, got_w = exploration_waypoint(grid, got_rng, valid)
+        want_wp, want_w = reference_exploration_waypoint(grid, want_rng,
+                                                         valid)
+        assert got_wp.tobytes() == want_wp.tobytes(), trial
+        assert type(got_w) is float and got_w.hex() == want_w.hex(), trial
+        assert got_rng.integers(2 ** 62) == want_rng.integers(2 ** 62)
+
+
 # -- exactness of the fast paths at real sizes --------------------------------
 
 
@@ -343,9 +393,9 @@ def reference_delta_map(positions, weights, footprint_radius, geometry):
 def awkward_positions(rng, geom, radius, k):
     """Deposits on cell edges, at exactly +-radius from a cell center,
     outside the grid, repeating an earlier deposit (a parked agent), at
-    signed zeros, and anywhere."""
+    signed zeros, infinitely far along one or both axes, and anywhere."""
     edges = (np.arange(geom.n + 1) * geom.cell_size) - geom.radius
-    kinds = rng.integers(0, 6, size=k)
+    kinds = rng.integers(0, 7, size=k)
     out = rng.uniform(-geom.radius - 6.0, geom.radius + 6.0, size=(k, 2))
     for r, (row, kind) in enumerate(zip(out, kinds)):
         if kind == 3 and r:
@@ -361,6 +411,9 @@ def awkward_positions(rng, geom, radius, k):
         elif kind == 2:
             row[:] = rng.choice([-1.0, 1.0], 2) * rng.uniform(
                 geom.radius, geom.radius + 3 * radius, 2)
+        elif kind == 5:
+            axes = rng.choice([[True, False], [False, True], [True, True]])
+            row[axes] = rng.choice([-math.inf, math.inf], axes.sum())
     return out
 
 
