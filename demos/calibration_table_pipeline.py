@@ -2,10 +2,11 @@
 
 Instead of the closed-form camera noise model, hardware deployments carry a
 calibration table: covariances sampled on a (range, bearing) grid during a
-characterization pass, stored as CSV, and interpolated at query time.  This
-demo builds such a table synthetically, round-trips it through CSV, compares
-interpolated covariances against the closed form, and runs a short episode
-on the small-arena preset using the loaded table.
+characterization pass, stored as CSV, and looked up at query time (the
+nearest sample's covariance).  This demo builds such a table synthetically,
+round-trips it through CSV, compares looked-up covariances against the closed
+form, and runs a short episode on the small-arena preset using the loaded
+table.
 
 Usage: python demos/calibration_table_pipeline.py [--out DIR]
 """
@@ -45,14 +46,14 @@ def main():
     print(f"characterized {len(table.points)} grid points "
           f"(1 bl radial steps, 10 deg angular steps) -> {path}")
 
-    loaded = load_calibration_csv(path, fov, n_neighbors=3)
-    print("\ninterpolated vs closed-form noise scale (c11, bl^2):")
+    loaded = load_calibration_csv(path)
+    print("\nlooked-up vs closed-form noise scale (c11, bl^2):")
     print(f"{'range':>6}{'bearing':>9}{'table':>10}{'closed':>10}")
     for r, phi_deg in [(2.0, 0.0), (3.0, 0.0), (4.5, 20.0), (5.0, -40.0)]:
         phi = math.radians(phi_deg)
         c = interpolate_cov(loaded, r, phi)
-        eta = max(cmap.eta(r, phi), cmap.eta_floor)
-        print(f"{r:>6.1f}{phi_deg:>9.1f}{c[0, 0]:>10.3f}{eta:>10.3f}")
+        print(f"{r:>6.1f}{phi_deg:>9.1f}{c[0, 0]:>10.3f}"
+              f"{cmap.variance(r, phi):>10.3f}")
 
     vp_table = best_viewpoint(loaded, fov)
     vp_closed = best_viewpoint(cmap, fov)

@@ -2,19 +2,20 @@
 
 Covers the sector FOV and its one test, :func:`sector_polar`, which every
 caller calls directly; the analytic camera covariance map of the 2D simulation;
-and the calibration table (N-nearest interpolation over a sampled covariance
-grid, saved as CSV) that stands in for a hardware-characterized sensor.
+and the calibration table (a covariance grid sampled in a characterization
+pass, saved as CSV, and looked up at its nearest sample) that stands in for a
+hardware-characterized sensor.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import check_cov, entropy
+from .estimation import EYE2, check_cov, entropy
 
 
 def wrap_angle(a):
@@ -75,41 +76,31 @@ class AnalyticCovMap:
     def eta(self, r, phi):
         return self.k1 * (r - self.r_best) ** 2 + self.k2 * phi ** 4
 
-
-def analytic_cov_at(cmap: AnalyticCovMap, r, bearing) -> np.ndarray:
-    """Measurement covariance at a polar location: max(eta, floor) * I."""
-    eta = max(cmap.eta(r, bearing), cmap.eta_floor)
-    return np.array([[eta, 0.0], [0.0, eta]])
+    def variance(self, r, phi):
+        """Measurement variance at a polar location; the covariance is
+        this times I."""
+        return max(self.eta(r, phi), self.eta_floor)
 
 
 @dataclass
 class CalibrationTable:
     """Discrete covariance map sampled on a grid of sensor-frame points.
 
-    ``points`` are (r, bearing) pairs; distances for interpolation are taken
-    in the cartesian sensor frame.  ``r_max`` is the norm of the longest
-    vector that fits inside the sensor's ``fov`` (the chord between extreme
-    rays for wide sectors), which keeps all interpolation weights nonnegative.
+    ``points`` are (r, bearing) pairs; a lookup returns the sample nearest
+    in the cartesian sensor frame.
     """
 
     points: np.ndarray           # (M, 2) of (r, bearing)
     covs: np.ndarray             # (M, 2, 2)
-    fov: InitVar[SectorFov]
-    n_neighbors: int = 1
-    r_max: float = field(init=False)
     _xy: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, fov):
+    def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
         self.covs = np.asarray(self.covs, dtype=float).reshape(-1, 2, 2)
         if len(self.points) == 0:
             raise ValueError("calibration table is empty")
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
         for c in self.covs:
             check_cov(c)
-        self.r_max = 2.0 * fov.range_bl * math.sin(min(fov.half_angle,
-                                                        math.pi / 2))
         self._xy = np.stack(
             [
                 self.points[:, 0] * np.cos(self.points[:, 1]),
@@ -120,20 +111,11 @@ class CalibrationTable:
 
 
 def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
-    """N-nearest inverse-distance-weighted covariance at (r, bearing).
-
-    Weights are 1 - d/r_max over the ``n_neighbors`` nearest table entries.
-    One neighbor gives ``(w * c) / w``: the nearest entry ``c`` (a Voronoi
-    lookup) up to rounding, which can move its last bit.
-    """
+    """A copy of the covariance of the table sample nearest to (r, bearing),
+    ties going to the lowest index (a Voronoi lookup)."""
     q = np.array([r * math.cos(bearing), r * math.sin(bearing)])
     d = np.linalg.norm(table._xy - q, axis=1)
-    n = min(table.n_neighbors, len(d))
-    idx = np.argpartition(d, n - 1)[:n] if n < len(d) else np.arange(len(d))
-    w = 1.0 - d[idx] / table.r_max
-    if w.sum() <= 0:
-        w = np.ones_like(w)
-    return np.einsum("m,mij->ij", w, table.covs[idx]) / w.sum()
+    return table.covs[np.argmin(d)].copy()
 
 
 # Table scans already made, by table contents and FOV: every seed of a batch
@@ -159,8 +141,7 @@ def best_viewpoint(cov_source, fov: SectorFov):
         return np.array([r, 0.0])
 
     key = (cov_source.points.tobytes(), cov_source.covs.tobytes(),
-           cov_source.n_neighbors, cov_source.r_max, fov.range_bl,
-           fov.half_angle)
+           fov.range_bl, fov.half_angle)
     viewpoint = _TABLE_VIEWPOINTS.get(key)
     if viewpoint is None:
         if len(_TABLE_VIEWPOINTS) >= _TABLE_VIEWPOINTS_MAX:
@@ -208,10 +189,8 @@ def save_calibration_csv(table: CalibrationTable, path):
             w.writerow([r, math.degrees(phi), c[0, 0], c[0, 1], c[1, 1]])
 
 
-def load_calibration_csv(path, fov: SectorFov,
-                         n_neighbors=1) -> CalibrationTable:
-    """Load a calibration table written by :func:`save_calibration_csv`
-    for the sensor ``fov``."""
+def load_calibration_csv(path) -> CalibrationTable:
+    """Load a calibration table written by :func:`save_calibration_csv`."""
     points, covs = [], []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -219,12 +198,11 @@ def load_calibration_csv(path, fov: SectorFov,
             points.append([float(row["r"]), math.radians(float(row["bearing_deg"]))])
             c12 = float(row["c12"])
             covs.append([[float(row["c11"]), c12], [c12, float(row["c22"])]])
-    return CalibrationTable(np.array(points), np.array(covs), fov,
-                            n_neighbors)
+    return CalibrationTable(np.array(points), np.array(covs))
 
 
-def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov, dr=1.0,
-                                n_neighbors=1) -> CalibrationTable:
+def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov,
+                                dr=1.0) -> CalibrationTable:
     """Sample the analytic map on a hardware-style calibration grid.
 
     Mirrors the pan/tilt characterization procedure (10 degree angular steps,
@@ -239,7 +217,6 @@ def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov, dr=1.0,
         for k in range(-n_phi, n_phi + 1):
             phi = k * dphi
             points.append([r, phi])
-            covs.append(analytic_cov_at(cmap, r, phi))
+            covs.append(cmap.variance(r, phi) * EYE2)
         r += dr
-    return CalibrationTable(np.array(points), np.array(covs), fov,
-                            n_neighbors)
+    return CalibrationTable(np.array(points), np.array(covs))

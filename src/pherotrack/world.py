@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .estimation import EPS_INV, EYE2, GaussianEstimate
-from .sensing import (AnalyticCovMap, SectorFov, load_calibration_csv,
-                      sector_polar, wrap_angle)
+from .sensing import (AnalyticCovMap, load_calibration_csv, sector_polar,
+                      wrap_angle)
 
 
 # Diagonal added before every Cholesky factor of a noise covariance, so
@@ -59,7 +59,6 @@ class WorldConfig:
     w_floor: float = 0.1
     cell_size: float = 0.25
     q_star: float = 0.5              # waypoint-reached radius
-    noise_scale: float = 1.0         # test hook: scales all sampled noise
     calibration_csv: str | None = None   # use a table-based covariance map
 
     def __post_init__(self):
@@ -157,8 +156,7 @@ class WorldConfig:
         if not os.path.isfile(path):
             raise AssumptionError(f"calibration table {path} does not exist")
         try:
-            table = load_calibration_csv(
-                path, SectorFov(self.r_s, self.half_angle))
+            table = load_calibration_csv(path)
         except (KeyError, TypeError, ValueError) as err:
             raise AssumptionError(
                 f"calibration table {path} is unreadable: {err!r}") from None
@@ -304,7 +302,7 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
 
     chol = state.q_chol
     for k in range(len(state.target_pos)):
-        noise = cfg.noise_scale * (chol @ state.target_rngs[k].standard_normal(2))
+        noise = chol @ state.target_rngs[k].standard_normal(2)
         x = state.target_pos[k, 0] + noise[0]
         y = state.target_pos[k, 1] + noise[1]
         state.target_pos[k] = (_reflect(x, 0.0, w), _reflect(y, 0.0, h))
@@ -346,10 +344,9 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
         else:
             # The analytic covariance is var * I, whose Cholesky factor is
             # sqrt(var) * I; scaling the draw gives the product's bits.
-            var = max(cmap.eta(r, bearing), cmap.eta_floor)
+            var = cmap.variance(r, bearing)
             cov = var * EYE2
             noise = math.sqrt(var) * rng.standard_normal(2)
-        noise = cfg.noise_scale * noise
         out.append((k + 1, GaussianEstimate(rels[k] + noise, cov)))
     return out
 
@@ -360,8 +357,7 @@ def sense_displacement(state: WorldState, agent: int, prev_pos,
     true_dp = state.agent_pos[agent] - np.asarray(prev_pos, dtype=float)
     if state.dp_chol is None:
         return true_dp.copy(), cfg.r_dp.copy()
-    noise = cfg.noise_scale * (state.dp_chol
-                               @ state.sense_rngs[agent].standard_normal(2))
+    noise = state.dp_chol @ state.sense_rngs[agent].standard_normal(2)
     return true_dp + noise, cfg.r_dp.copy()
 
 
@@ -391,7 +387,7 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
             if dist > cfg.r_c:
                 continue
             var = max(cfg.k_p * dist, cfg.eta_floor)
-            noise = cfg.noise_scale * math.sqrt(var) * rng.standard_normal(2)
+            noise = math.sqrt(var) * rng.standard_normal(2)
             rx[i].append(
                 (packet, GaussianEstimate(rels[j] + noise, var * EYE2)))
     return rx

@@ -307,7 +307,7 @@ def test_table_viewpoint_scan_is_made_once_per_equal_table(monkeypatch):
 
 def test_calibration_csv_config_roundtrip(tmp_path):
     # A run from a CSV of the preset's own synthetic table is the preset run,
-    # bit for bit: the loaded table keeps the synthetic table's r_max.
+    # bit for bit: the CSV keeps every sample's bits, so lookups agree.
     import pherotrack.sensing as sensing
     preset = hardware_table_preset()
     table = sensing.synthetic_calibration_table(

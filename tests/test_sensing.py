@@ -8,10 +8,11 @@ import pytest
 
 from pherotrack.sensing import (AnalyticCovMap, CalibrationTable,
                                 CALIBRATION_CSV_FIELDS, SectorFov,
-                                analytic_cov_at, best_viewpoint,
-                                interpolate_cov, load_calibration_csv,
+                                best_viewpoint, interpolate_cov,
+                                load_calibration_csv,
                                 save_calibration_csv, sector_polar,
                                 synthetic_calibration_table, wrap_angle)
+from pherotrack.world import hardware_table_preset
 
 
 def test_wrap_angle():
@@ -52,13 +53,10 @@ def test_sector_validation():
 def test_analytic_cov_map_values():
     cmap = AnalyticCovMap(k1=1.0, k2=1.0, r_best=2.0, eta_floor=1e-3)
     # Exact optimum hits the floor rather than going singular.
-    assert np.allclose(analytic_cov_at(cmap, 2.0, 0.0),
-                       1e-3 * np.eye(2))
-    assert np.allclose(analytic_cov_at(cmap, 4.0, 0.0),
-                       4.0 * np.eye(2))
+    assert cmap.variance(2.0, 0.0) == 1e-3
+    assert cmap.variance(4.0, 0.0) == 4.0
     phi = 0.5
-    assert np.allclose(analytic_cov_at(cmap, 2.0, phi),
-                       phi ** 4 * np.eye(2))
+    assert cmap.variance(2.0, phi) == phi ** 4
     # Quadratic in range, quartic in bearing.
     assert math.isclose(cmap.eta(5.0, 0.3), 9.0 + 0.3 ** 4)
 
@@ -93,40 +91,44 @@ def test_best_viewpoint_table_close_to_analytic():
 
 
 def test_interpolate_single_neighbor_is_voronoi_lookup():
+    # At a sample's own point the lookup is that sample, bit for bit.
     fov = SectorFov(4.0, math.radians(60.0))
-    table = synthetic_calibration_table(AnalyticCovMap(), fov, n_neighbors=1)
-    for (r, phi), cov in zip(table.points[:10], table.covs[:10]):
-        got = interpolate_cov(table, r, phi)
-        assert np.allclose(got, cov, atol=1e-12)
+    table = synthetic_calibration_table(AnalyticCovMap(), fov)
+    for (r, phi), cov in zip(table.points, table.covs):
+        assert interpolate_cov(table, r, phi).tobytes() == cov.tobytes()
 
 
-def test_interpolate_matches_weighted_oracle():
-    rng = np.random.default_rng(3)
-    fov = SectorFov(4.0, math.radians(60.0))
-    table = synthetic_calibration_table(AnalyticCovMap(), fov, n_neighbors=3)
-    for _ in range(100):
-        r = rng.uniform(0.0, 4.0)
+def test_interpolate_is_the_nearest_sample():
+    cfg = hardware_table_preset()
+    fov = SectorFov(cfg.r_s, cfg.half_angle)
+    table = synthetic_calibration_table(cfg.cov_map(), fov)
+    before = table.covs.tobytes()
+    rng = np.random.default_rng(0)
+    for _ in range(20000):
+        r = rng.uniform(0.0, fov.range_bl)
         phi = rng.uniform(-fov.half_angle, fov.half_angle)
         q = np.array([r * math.cos(phi), r * math.sin(phi)])
-        d = np.linalg.norm(table._xy - q, axis=1)
-        idx = np.argsort(d)[:3]
-        w = 1.0 - d[idx] / table.r_max
-        if w.sum() <= 0:
-            w = np.ones_like(w)
-        want = sum(wi * table.covs[i] for wi, i in zip(w, idx)) / w.sum()
-        assert np.allclose(interpolate_cov(table, r, phi), want, atol=1e-9)
+        want = table.covs[np.argmin(np.linalg.norm(table._xy - q, axis=1))]
+        got = interpolate_cov(table, r, phi)
+        assert got.tobytes() == want.tobytes()
+    # The lookup is a copy: writing to it leaves the table as it was.
+    got[0, 0] = -1.0
+    assert table.covs.tobytes() == before
+    # An exact tie (the query 2 is 1 from both 1 and 3) goes to the lower
+    # index, whichever sample sits there.
+    a, b = np.eye(2), 2.0 * np.eye(2)
+    for covs in ((a, b), (b, a)):
+        tie = CalibrationTable(np.array([[1.0, 0.0], [3.0, 0.0]]),
+                               np.array(covs))
+        assert interpolate_cov(tie, 2.0, 0.0).tobytes() == covs[0].tobytes()
 
 
 def test_calibration_table_validation():
-    fov = SectorFov(4.0, math.radians(60.0))
     with pytest.raises(ValueError):
-        CalibrationTable(np.empty((0, 2)), np.empty((0, 2, 2)), fov)
-    with pytest.raises(ValueError):
-        CalibrationTable(np.array([[1.0, 0.0]]), np.array([np.eye(2)]), fov,
-                         n_neighbors=0)
+        CalibrationTable(np.empty((0, 2)), np.empty((0, 2, 2)))
     with pytest.raises(ValueError):
         CalibrationTable(np.array([[1.0, 0.0]]),
-                         np.array([[[1.0, 0.0], [0.0, -1.0]]]), fov)
+                         np.array([[[1.0, 0.0], [0.0, -1.0]]]))
 
 
 def test_calibration_csv_roundtrip(tmp_path):
@@ -137,8 +139,13 @@ def test_calibration_csv_roundtrip(tmp_path):
     with open(path, newline="") as f:
         header = next(csv.reader(f))
     assert header == CALIBRATION_CSV_FIELDS
-    loaded = load_calibration_csv(path, fov)
-    assert np.allclose(loaded.points, table.points, atol=1e-12)
-    assert np.allclose(loaded.covs, table.covs, atol=1e-12)
-    # Both builders take r_max from the FOV, so the reload is the same table.
-    assert loaded.r_max == table.r_max == 8.0 * math.sin(math.radians(60.0))
+    loaded = load_calibration_csv(path)
+    # The reload is the same table, so every lookup gives the same bits.
+    assert loaded.points.tobytes() == table.points.tobytes()
+    assert loaded.covs.tobytes() == table.covs.tobytes()
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        r = rng.uniform(0.0, fov.range_bl)
+        phi = rng.uniform(-fov.half_angle, fov.half_angle)
+        assert (interpolate_cov(loaded, r, phi).tobytes()
+                == interpolate_cov(table, r, phi).tobytes())

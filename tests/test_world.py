@@ -199,9 +199,26 @@ def test_target_noise_streams_independent_of_agent_count():
 # -- dynamics ----------------------------------------------------------------
 
 
+class ZeroNormal:
+    """Stands in for a state's noise streams: every draw is zero."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
+def quiet_state(cfg, seed=0):
+    """``make_state`` with every noise stream drawing zeros, so targets do
+    not move and sensing and the channel measure exactly."""
+    state = make_state(cfg, seed)
+    for streams in (state.target_rngs, state.sense_rngs, state.channel_rngs):
+        streams[:] = [ZeroNormal()] * len(streams)
+    return state
+
+
 def cfg_quiet(**kw):
-    """A config whose targets do not move (deterministic agent tests)."""
-    base = dict(noise_scale=0.0, n_agents=1, n_targets=1)
+    """A one-agent, one-target config for the deterministic agent tests;
+    pair it with :func:`quiet_state`."""
+    base = dict(n_agents=1, n_targets=1)
     base.update(kw)
     return sim_2d_preset(**base)
 
@@ -214,7 +231,7 @@ def place(state, agent_pos, heading, target_pos):
 
 def test_unicycle_step():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[20.0, 20.0]])
     step_dynamics(state, [ControlInput(0.4, math.radians(15.0))], cfg)
     assert np.allclose(state.agent_pos[0], [5.4, 5.0])
@@ -224,7 +241,7 @@ def test_unicycle_step():
 
 def test_agents_clamped_to_domain():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[29.9, 0.05]], [-0.5], [[20.0, 20.0]])
     step_dynamics(state, [ControlInput(0.4, 0.0)], cfg)
     assert state.agent_pos[0, 0] == 30.0
@@ -249,7 +266,7 @@ def test_targets_reflect_and_stay_inside():
 
 def test_target_in_fov_geometry():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
     assert target_in_fov(state, 0, 0, cfg)
     place(state, [[5.0, 5.0]], [math.pi], [[7.0, 5.0]])
@@ -280,7 +297,7 @@ def test_one_sector_rule_for_every_caller():
     cfg = cfg_quiet(phi_c_deg=90.0)
     assert cfg.half_angle == math.pi / 4 and cfg.r_s == 4.0
     cmap = cfg.cov_map()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     for heading, (x, y), inside in SECTOR_CASES:
         place(state, [[10.0, 10.0]], [heading], [[10.0 + x, 10.0 + y]])
         polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
@@ -299,7 +316,7 @@ def test_one_sector_rule_for_every_caller():
 
 def test_sense_targets_noise_free_measurement():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
     dets = sense_targets(state, 0, cfg)
     assert len(dets) == 1
@@ -314,7 +331,7 @@ def test_sense_targets_noise_free_measurement():
 
 def test_sense_targets_covariance_tracks_range():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[8.5, 5.0]])     # r = 3.5
     _, est = sense_targets(state, 0, cfg)[0]
     assert np.allclose(est.cov, (3.5 - 2.0) ** 2 * np.eye(2))
@@ -349,7 +366,7 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
 
 def test_sense_displacement_exact_when_noiseless():
     cfg = cfg_quiet()
-    state = make_state(cfg, 0)
+    state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[20.0, 20.0]])
     dp, sdp = sense_displacement(state, 0, [4.0, 5.5], cfg)
     assert np.allclose(dp, [1.0, -0.5])
@@ -365,8 +382,8 @@ def packet(sender):
 
 
 def test_broadcasts_follow_schedule_and_radius():
-    cfg = sim_2d_preset(n_agents=3, n_targets=1, noise_scale=0.0)
-    state = make_state(cfg, 0)
+    cfg = sim_2d_preset(n_agents=3, n_targets=1)
+    state = quiet_state(cfg)
     state.agent_pos[:] = [[0.0, 0.0], [5.0, 0.0], [15.0, 0.0]]
     packets = {i: packet(i + 1) for i in range(3)}
 
@@ -409,8 +426,8 @@ def test_empty_air_draws_no_channel_noise():
 
 
 def test_no_self_delivery():
-    cfg = sim_2d_preset(n_agents=2, n_targets=1, noise_scale=0.0)
-    state = make_state(cfg, 0)
+    cfg = sim_2d_preset(n_agents=2, n_targets=1)
+    state = quiet_state(cfg)
     state.agent_pos[:] = [[0.0, 0.0], [1.0, 0.0]]
     rx = deliver_broadcasts({i: packet(i + 1) for i in range(2)}, state, 0, cfg)
     assert [p.sender for p, _ in rx[0]] == [2]
