@@ -72,7 +72,7 @@ GOLDEN = {
     "antiflocking/greedy-distributed": ("201ed5a3681e67a1", "6167f544486b08d9"),
     "antiflocking/auction": ("2865ff95ca8955a9", "2ac3180056676203"),
     "antiflocking/local-greedy": ("832c78e0b8986f53", "04c5dadb29962c98"),
-    "hardware-table": ("723501f2d3de21e2", "23c77980c5fb09ca"),
+    "hardware-table": ("30eca6ba08d45d27", "b801f1d4c6d946a5"),
     "sim2d-odometry": ("daaf5693712ccf65", "72ea7933709ae613"),
     "levy/correlated-odometry": ("37f1ade69b66a5bd", "8860aab6f3d98423"),
 }
