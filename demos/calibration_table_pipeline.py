@@ -51,7 +51,7 @@ def main():
     print(f"{'range':>6}{'bearing':>9}{'table':>10}{'closed':>10}")
     for r, phi_deg in [(2.0, 0.0), (3.0, 0.0), (4.5, 20.0), (5.0, -40.0)]:
         phi = math.radians(phi_deg)
-        c = interpolate_cov(loaded, r, phi)
+        c, _ = interpolate_cov(loaded, r, phi)
         print(f"{r:>6.1f}{phi_deg:>9.1f}{c[0, 0]:>10.3f}"
               f"{cmap.variance(r, phi):>10.3f}")
 
@@ -60,7 +60,7 @@ def main():
     r_vp = math.hypot(vp_table[0], vp_table[1])
     phi_vp = math.atan2(vp_table[1], vp_table[0])
     print(f"\nbest viewpoint: table scan {np.round(vp_table, 2)} "
-          f"(uncertainty {entropy(interpolate_cov(loaded, r_vp, phi_vp)):.2e}),"
+          f"(uncertainty {entropy(interpolate_cov(loaded, r_vp, phi_vp)[0]):.2e}),"
           f" closed form {vp_closed}")
 
     cfg = hardware_table_preset(calibration_csv=path)

@@ -34,22 +34,6 @@ class SingularCovarianceError(ValueError):
     """
 
 
-def check_cov(c, tol=1e-9):
-    """Validate that ``c`` is a symmetric PSD 2x2 matrix and return it.
-
-    Symmetry is required within ``tol``; eigenvalues may dip to ``-tol`` to
-    absorb round-off.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (2, 2):
-        raise ValueError(f"expected 2x2 covariance, got shape {c.shape}")
-    if abs(c[0, 1] - c[1, 0]) > tol:
-        raise ValueError("covariance is not symmetric")
-    if float(np.linalg.eigvalsh(c)[0]) < -tol:
-        raise ValueError("covariance is not positive semi-definite")
-    return c
-
-
 @dataclass
 class GaussianEstimate:
     """Relative-position mean with its 2x2 covariance."""

@@ -23,7 +23,7 @@ from .agent import AgentBrain, AgentConfig
 from .baselines import (AuctionOracle, Explorer, VisitedMap,
                         antiflocking_waypoint, levy_waypoint)
 from .pheromone import GridGeometry, PheromoneConfig
-from .sensing import SectorFov, interpolate_cov, synthetic_calibration_table
+from .sensing import SectorFov, interpolate_cov
 from .tracking import TrackerConfig, combined_estimate
 
 SEARCH_ALGOS = ("pheromone", "levy", "antiflocking")
@@ -98,15 +98,12 @@ def objective_H(target_ids, true_rel, estimates, n_agents, domain_diag):
     return total / n_agents
 
 
-def _cov_at_fn(cfg: wd.WorldConfig, fov: SectorFov):
-    """Polar-to-covariance callable plus the viewpoint source for brains."""
+def _cov_at_fn(cfg: wd.WorldConfig):
+    """Detection ``(cov, factor)`` callable plus the viewpoint source for
+    brains."""
     if cfg.calibration_csv is None:
-        cmap = cfg.cov_map()
-        return None, cmap
-    if cfg.calibration_csv:
-        table = cfg.calibration_table   # loaded by the config's gate
-    else:
-        table = synthetic_calibration_table(cfg.cov_map(), fov)
+        return None, cfg.cov_map()
+    table = cfg.calibration_table   # built by the config's gate
     return (lambda r, phi: interpolate_cov(table, r, phi)), table
 
 
@@ -115,7 +112,7 @@ def build_brains(cfg: wd.WorldConfig, search: str, assign: str, seed: int):
     brains share one :class:`AgentConfig`, so its viewpoint is found once;
     each draws from its own stream of ``seed``."""
     fov = SectorFov(cfg.r_s, cfg.half_angle)
-    cov_fn, viewpoint_source = _cov_at_fn(cfg, fov)
+    cov_fn, viewpoint_source = _cov_at_fn(cfg)
     agent_cfg = AgentConfig(
         fov=fov,
         cov_map=viewpoint_source,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import EYE2, check_cov, entropy
+from .estimation import EPS_INV, EYE2, entropy
 
 
 def wrap_angle(a):
@@ -87,20 +87,30 @@ class CalibrationTable:
     """Discrete covariance map sampled on a grid of sensor-frame points.
 
     ``points`` are (r, bearing) pairs; a lookup returns the sample nearest
-    in the cartesian sensor frame.
+    in the cartesian sensor frame.  Each sample's Cholesky factor is made
+    once, here, and the arrays are read-only from then on.
     """
 
     points: np.ndarray           # (M, 2) of (r, bearing)
     covs: np.ndarray             # (M, 2, 2)
+    chols: np.ndarray = field(init=False, repr=False)   # (M, 2, 2)
     _xy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        self.covs = np.asarray(self.covs, dtype=float).reshape(-1, 2, 2)
+        self.points = np.array(self.points, dtype=float).reshape(-1, 2)
+        self.covs = np.array(self.covs, dtype=float).reshape(-1, 2, 2)
         if len(self.points) == 0:
             raise ValueError("calibration table is empty")
-        for c in self.covs:
-            check_cov(c)
+        # Every sample reaches fusion as a detection, so it must be
+        # symmetric and clear the inversion limit that eta_floor clears on
+        # the analytic map.
+        if np.abs(self.covs[:, 0, 1] - self.covs[:, 1, 0]).max() > 1e-9:
+            raise ValueError("calibration table holds an asymmetric "
+                             "covariance")
+        if not np.linalg.eigvalsh(self.covs)[:, 0].min() > EPS_INV:
+            raise ValueError("calibration table holds a covariance with "
+                             f"smallest eigenvalue <= {EPS_INV}")
+        self.chols = np.linalg.cholesky(self.covs)
         self._xy = np.stack(
             [
                 self.points[:, 0] * np.cos(self.points[:, 1]),
@@ -108,14 +118,16 @@ class CalibrationTable:
             ],
             axis=1,
         )
+        for a in (self.points, self.covs, self.chols, self._xy):
+            a.flags.writeable = False
 
 
-def interpolate_cov(table: CalibrationTable, r, bearing) -> np.ndarray:
-    """A copy of the covariance of the table sample nearest to (r, bearing),
-    ties going to the lowest index (a Voronoi lookup)."""
+def interpolate_cov(table: CalibrationTable, r, bearing):
+    """``(cov, factor)`` of the table sample nearest to (r, bearing), ties
+    going to the lowest index (a Voronoi lookup); both are read-only."""
     q = np.array([r * math.cos(bearing), r * math.sin(bearing)])
-    d = np.linalg.norm(table._xy - q, axis=1)
-    return table.covs[np.argmin(d)].copy()
+    i = np.argmin(np.linalg.norm(table._xy - q, axis=1))
+    return table.covs[i], table.chols[i]
 
 
 # Table scans already made, by table contents and FOV: every seed of a batch
@@ -162,7 +174,7 @@ def _scan_table(table: CalibrationTable, fov: SectorFov):
     best = None
     for r in ranges:
         for phi in bearings:
-            score = entropy(interpolate_cov(table, r, phi))
+            score = entropy(interpolate_cov(table, r, phi)[0])
             key = (score, r, abs(phi))
             if best is None or _vp_better(key, best[0]):
                 best = (key, np.array([r * math.cos(phi), r * math.sin(phi)]))

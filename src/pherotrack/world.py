@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .estimation import EPS_INV, EYE2, GaussianEstimate
-from .sensing import (AnalyticCovMap, load_calibration_csv, sector_polar,
-                      wrap_angle)
+from .sensing import (AnalyticCovMap, SectorFov, load_calibration_csv,
+                      sector_polar, synthetic_calibration_table, wrap_angle)
 
 
 # Diagonal added before every Cholesky factor of a noise covariance, so
@@ -90,16 +90,11 @@ class WorldConfig:
         # The sector test's own rule, checked before any sector is built.
         if not 0 < 2 * self.half_angle <= 2 * math.pi:
             raise AssumptionError("sector angle phi_c_deg must be in (0, 360]")
-        # The channel draws neighbor noise with variance max(k_p d, floor)
-        # and every estimate gets inverted in fusion: a negative gain can
-        # make the variance negative, and a floor at or below the inversion
-        # limit lets a detection at the camera optimum be singular.
+        # The channel draws neighbor noise with variance max(k_p d, floor),
+        # so a negative gain can make the variance negative.
         if not self.k_p >= 0:
             raise AssumptionError("neighbor sensing gain k_p must not be "
                                   "negative")
-        if not self.eta_floor > EPS_INV:
-            raise AssumptionError(
-                f"sensor noise floor eta_floor must exceed {EPS_INV}")
         if not self.u_max[1] > 0:
             raise AssumptionError("turn-rate limit u_max[1] must be positive")
         if self.sigma_bar <= 0:
@@ -146,27 +141,31 @@ class WorldConfig:
             raise AssumptionError("counts and periods must be positive")
         if self.n_targets < 0:
             raise AssumptionError("target count must not be negative")
-        if self.calibration_csv:
-            self._check_calibration_table()
+        # Every estimate gets inverted in fusion, and a fusion chain holds up
+        # to n_agents views at the floor: their fused covariance, floor /
+        # n_agents, must still clear the inversion limit.
+        if not self.eta_floor > self.n_agents * EPS_INV:
+            raise AssumptionError(
+                "sensor noise floor eta_floor must exceed "
+                f"n_agents * {EPS_INV} = {self.n_agents * EPS_INV:g}")
+        if self.calibration_csv is not None:
+            # Kept for the runs, so a table is built or parsed once per
+            # check; not a field, so it stays out of the JSON form.
+            self.calibration_table = self._calibration_table()
 
-    def _check_calibration_table(self):
-        # Every table covariance reaches fusion as a detection, so it must
-        # clear the inversion limit that eta_floor clears on the analytic map.
+    def _calibration_table(self):
         path = self.calibration_csv
-        if not os.path.isfile(path):
+        if path and not os.path.isfile(path):
             raise AssumptionError(f"calibration table {path} does not exist")
         try:
-            table = load_calibration_csv(path)
+            if path:
+                return load_calibration_csv(path)
+            return synthetic_calibration_table(
+                self.cov_map(), SectorFov(self.r_s, self.half_angle))
         except (KeyError, TypeError, ValueError) as err:
             raise AssumptionError(
-                f"calibration table {path} is unreadable: {err!r}") from None
-        if not np.linalg.eigvalsh(table.covs)[:, 0].min() > EPS_INV:
-            raise AssumptionError(
-                f"calibration table {path} holds a covariance with smallest "
-                f"eigenvalue <= {EPS_INV}")
-        # Kept for the runs, so the table is parsed once per check; not a
-        # field, so it stays out of the JSON form.
-        self.calibration_table = table
+                f"calibration table {path or '(synthetic)'} is unusable: "
+                f"{err!r}") from None
 
     def to_json(self, path):
         d = asdict(self)
@@ -200,7 +199,8 @@ def hardware_table_preset(**overrides) -> WorldConfig:
     """Hardware-flavored configuration (blimp testbed values, 2D projection).
 
     Uses a calibration-table covariance map when ``calibration_csv`` points
-    at a table; otherwise a synthetic table is generated at world build time.
+    at a table; otherwise the gate builds a synthetic table from the camera
+    model.
     """
     params = dict(
         domain=(10.0, 6.0),
@@ -325,8 +325,9 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
 
     Noise is drawn directly in the cartesian local frame with the covariance
     the map assigns to the target's true polar position, and that covariance
-    is handed to the tracker alongside the measurement.  Target ids are
-    1-based (0 is the explore sentinel).
+    is handed to the tracker alongside the measurement.  ``cov_at(r,
+    bearing)`` gives a table's ``(cov, factor)``; without it the analytic
+    map is used.  Target ids are 1-based (0 is the explore sentinel).
     """
     cmap = cfg.cov_map() if cov_at is None else None
     out = []
@@ -339,8 +340,8 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
             continue
         r, bearing = polar
         if cmap is None:
-            cov = cov_at(r, bearing)
-            noise = np.linalg.cholesky(cov) @ rng.standard_normal(2)
+            cov, factor = cov_at(r, bearing)
+            noise = factor @ rng.standard_normal(2)
         else:
             # The analytic covariance is var * I, whose Cholesky factor is
             # sqrt(var) * I; scaling the draw gives the product's bits.

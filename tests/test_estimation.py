@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from pherotrack.estimation import (EPS_INV, GaussianEstimate,
-                                   SingularCovarianceError, check_cov,
-                                   _inv_entries, entropy, flat_entropy, fuse,
-                                   fuse_stacked, inv2, propagate, to_flat)
+                                   SingularCovarianceError, _inv_entries,
+                                   entropy, flat_entropy, fuse, fuse_stacked,
+                                   inv2, propagate, to_flat)
 
 
 def random_pd(rng, floor=0.01):
@@ -134,16 +134,6 @@ def test_entropy_is_determinant():
     assert entropy(np.eye(2)) == 1.0
     assert entropy([[2.0, 0.0], [0.0, 3.0]]) == 6.0
     assert entropy([[1.0, 1.0], [1.0, 1.0]]) == 0.0
-
-
-def test_check_cov_validation():
-    assert np.allclose(check_cov(np.eye(2)), np.eye(2))
-    with pytest.raises(ValueError):
-        check_cov(np.eye(3))
-    with pytest.raises(ValueError):
-        check_cov([[1.0, 0.5], [0.0, 1.0]])       # asymmetric
-    with pytest.raises(ValueError):
-        check_cov([[1.0, 0.0], [0.0, -1.0]])      # indefinite
 
 
 def test_estimate_converts_only_what_is_not_float64_of_its_shape():

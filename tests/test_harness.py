@@ -552,3 +552,21 @@ def test_cli_bad_calibration_csv_is_usage_error(tmp_path, capsys):
                               "--out", str(tmp_path / "out"))
         assert reason in err and name in err, name
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unrunnable_sensor_config_is_usage_error(tmp_path, capsys):
+    # Both passed the gate once and then failed mid-run with a traceback: a
+    # synthetic table with no sample inside a 1 bl sector (its grid starts
+    # at 1.5 bl), and a floor-only sensor whose 8-view fusion chains fall
+    # below the inversion limit.
+    path = tmp_path / "cfg.json"
+    for payload, reason in (
+            ({"calibration_csv": "", "r_s": 1.0},
+             "calibration table (synthetic)"),
+            ({"n_agents": 8, "n_targets": 6, "k1": 0, "k2": 0, "k_p": 0,
+              "eta_floor": 2e-9}, "eta_floor must exceed n_agents")):
+        path.write_text(json.dumps(payload))
+        err = cli_usage_error(capsys, "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+        assert reason in err, payload
+    assert not (tmp_path / "out").exists()

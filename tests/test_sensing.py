@@ -81,7 +81,7 @@ def test_best_viewpoint_table_close_to_analytic():
     vp = best_viewpoint(coarse, fov)
     best_sample = min(entropy(c) for c in coarse.covs)
     r, phi = math.hypot(vp[0], vp[1]), math.atan2(vp[1], vp[0])
-    assert entropy(interpolate_cov(coarse, r, phi)) <= best_sample + 1e-12
+    assert entropy(interpolate_cov(coarse, r, phi)[0]) <= best_sample + 1e-12
     assert math.isclose(phi, 0.0, abs_tol=1e-12)
     # A grid dense enough to sample the true optimum at (2, 0): the scan
     # lands inside that sample's lookup cell.
@@ -91,11 +91,36 @@ def test_best_viewpoint_table_close_to_analytic():
 
 
 def test_interpolate_single_neighbor_is_voronoi_lookup():
-    # At a sample's own point the lookup is that sample, bit for bit.
+    # At a sample's own point the lookup is that sample and its factor, bit
+    # for bit.
     fov = SectorFov(4.0, math.radians(60.0))
     table = synthetic_calibration_table(AnalyticCovMap(), fov)
-    for (r, phi), cov in zip(table.points, table.covs):
-        assert interpolate_cov(table, r, phi).tobytes() == cov.tobytes()
+    for (r, phi), cov, chol in zip(table.points, table.covs, table.chols):
+        got_cov, got_chol = interpolate_cov(table, r, phi)
+        assert got_cov.tobytes() == cov.tobytes()
+        assert got_chol.tobytes() == chol.tobytes()
+
+
+def test_stored_factor_is_the_per_call_cholesky(tmp_path):
+    # The factor made when the table is built is the one each detection
+    # used to make, bit for bit: on every sample of the preset's synthetic
+    # table, and on a CSV table whose samples are correlated.
+    cfg = hardware_table_preset()
+    fov = SectorFov(cfg.r_s, cfg.half_angle)
+    synthetic = synthetic_calibration_table(cfg.cov_map(), fov)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((200, 2, 2))
+    covs = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2)
+    covs[:, 1, 0] = covs[:, 0, 1]
+    points = np.stack([rng.uniform(0.5, 5.0, 200),
+                       rng.uniform(-1.0, 1.0, 200)], axis=1)
+    path = tmp_path / "correlated.csv"
+    save_calibration_csv(CalibrationTable(points, covs), path)
+    correlated = load_calibration_csv(path)
+    assert np.abs(correlated.covs[:, 0, 1]).min() > 0
+    for table in (synthetic, correlated):
+        for cov, chol in zip(table.covs, table.chols):
+            assert chol.tobytes() == np.linalg.cholesky(cov).tobytes()
 
 
 def test_interpolate_is_the_nearest_sample():
@@ -108,11 +133,14 @@ def test_interpolate_is_the_nearest_sample():
         r = rng.uniform(0.0, fov.range_bl)
         phi = rng.uniform(-fov.half_angle, fov.half_angle)
         q = np.array([r * math.cos(phi), r * math.sin(phi)])
-        want = table.covs[np.argmin(np.linalg.norm(table._xy - q, axis=1))]
-        got = interpolate_cov(table, r, phi)
-        assert got.tobytes() == want.tobytes()
-    # The lookup is a copy: writing to it leaves the table as it was.
-    got[0, 0] = -1.0
+        i = np.argmin(np.linalg.norm(table._xy - q, axis=1))
+        cov, chol = interpolate_cov(table, r, phi)
+        assert cov.tobytes() == table.covs[i].tobytes()
+        assert chol.tobytes() == table.chols[i].tobytes()
+    # The lookup cannot be written, so the table stays as it was.
+    for got in (cov, chol):
+        with pytest.raises(ValueError):
+            got[0, 0] = -1.0
     assert table.covs.tobytes() == before
     # An exact tie (the query 2 is 1 from both 1 and 3) goes to the lower
     # index, whichever sample sits there.
@@ -120,15 +148,23 @@ def test_interpolate_is_the_nearest_sample():
     for covs in ((a, b), (b, a)):
         tie = CalibrationTable(np.array([[1.0, 0.0], [3.0, 0.0]]),
                                np.array(covs))
-        assert interpolate_cov(tie, 2.0, 0.0).tobytes() == covs[0].tobytes()
+        cov, _ = interpolate_cov(tie, 2.0, 0.0)
+        assert cov.tobytes() == covs[0].tobytes()
 
 
 def test_calibration_table_validation():
     with pytest.raises(ValueError):
         CalibrationTable(np.empty((0, 2)), np.empty((0, 2, 2)))
-    with pytest.raises(ValueError):
-        CalibrationTable(np.array([[1.0, 0.0]]),
-                         np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+    one = np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="asymmetric"):
+        CalibrationTable(one, np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="smallest eigenvalue"):
+        CalibrationTable(one, np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+    # Symmetric within round-off is accepted.
+    CalibrationTable(one, np.array([[[1.0, 1e-12], [0.0, 1.0]]]))
+    # A sample at or below the inversion limit could not be fused.
+    with pytest.raises(ValueError, match="smallest eigenvalue"):
+        CalibrationTable(np.array([[1.0, 0.0]]), np.array([1e-10 * np.eye(2)]))
 
 
 def test_calibration_csv_roundtrip(tmp_path):
@@ -147,5 +183,6 @@ def test_calibration_csv_roundtrip(tmp_path):
     for _ in range(200):
         r = rng.uniform(0.0, fov.range_bl)
         phi = rng.uniform(-fov.half_angle, fov.half_angle)
-        assert (interpolate_cov(loaded, r, phi).tobytes()
-                == interpolate_cov(table, r, phi).tobytes())
+        for got, want in zip(interpolate_cov(loaded, r, phi),
+                             interpolate_cov(table, r, phi)):
+            assert got.tobytes() == want.tobytes()

@@ -110,11 +110,29 @@ def test_gate_rejects_negative_neighbor_sensing_gain():
 
 def test_gate_rejects_singular_noise_floor():
     # At or below the inversion limit, a detection at the camera optimum
-    # (or a channel measurement at zero range) cannot be fused.
-    for floor in (-1.0, 0.0, EPS_INV):
+    # (or a channel measurement at zero range) cannot be fused; and a chain
+    # of n_agents views at the floor fuses to floor / n_agents.
+    n = WorldConfig().n_agents
+    for floor in (-1.0, 0.0, EPS_INV, 2 * EPS_INV, n * EPS_INV):
         with pytest.raises(AssumptionError):
             WorldConfig(eta_floor=floor)
-    WorldConfig(eta_floor=2 * EPS_INV)
+    WorldConfig(eta_floor=(n + 0.5) * EPS_INV)
+
+
+def test_floor_only_team_above_the_chain_bound_runs():
+    # A floor-only sensor (k1 = k2 = k_p = 0) just above the bound: before
+    # it, eta_floor = 2e-9 let the 8/6 team's chain fusion raise
+    # SingularCovarianceError on seed 0 within 400 steps.
+    with pytest.raises(AssumptionError, match="n_agents"):
+        sim_2d_preset(n_agents=8, n_targets=6, k1=0, k2=0, k_p=0,
+                      eta_floor=2e-9)
+    from pherotrack.harness import simulate_run
+    for n_agents, n_targets in ((8, 6), (2, 2)):
+        cfg = sim_2d_preset(n_agents=n_agents, n_targets=n_targets, k1=0,
+                            k2=0, k_p=0, eta_floor=(n_agents + 0.5) * EPS_INV)
+        m = simulate_run(cfg, "pheromone", "greedy-distributed", 400, 0,
+                         stop_when_tracked=False)
+        assert len(m.h_series) == 400
 
 
 def test_gate_rejects_nonpositive_turn_rate():
@@ -349,7 +367,10 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
     # through the general (Cholesky) path, drawing the same noise.
     cfg = sim_2d_preset(n_agents=3, n_targets=5, domain=(8.0, 8.0))
     cmap = cfg.cov_map()
-    general = lambda r, phi: max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
+
+    def general(r, phi):
+        cov = max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
+        return cov, np.linalg.cholesky(cov)
     seen = 0
     for seed in range(40):
         fast, slow = make_state(cfg, seed), make_state(cfg, seed)
