@@ -59,7 +59,7 @@ def main():
     vp_closed = best_viewpoint(cmap, fov)
     r_vp = math.hypot(vp_table[0], vp_table[1])
     phi_vp = math.atan2(vp_table[1], vp_table[0])
-    print(f"\nbest viewpoint: table scan {np.round(vp_table, 2)} "
+    print(f"\nbest viewpoint: table sample {np.round(vp_table, 2)} "
           f"(uncertainty {entropy(interpolate_cov(loaded, r_vp, phi_vp)[0]):.2e}),"
           f" closed form {vp_closed}")
 

@@ -3,8 +3,8 @@
 Covers the sector FOV and its one test, :func:`sector_polar`, which every
 caller calls directly; the analytic camera covariance map of the 2D simulation;
 and the calibration table (a covariance grid sampled in a characterization
-pass, saved as CSV, and looked up at its nearest sample) that stands in for a
-hardware-characterized sensor.
+pass, saved as CSV, factored once and looked up at its nearest sample) that
+stands in for a hardware-characterized sensor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import EPS_INV, EYE2, entropy
+from .estimation import EPS_INV, EYE2
 
 
 def wrap_angle(a):
@@ -130,20 +130,15 @@ def interpolate_cov(table: CalibrationTable, r, bearing):
     return table.covs[i], table.chols[i]
 
 
-# Table scans already made, by table contents and FOV: every seed of a batch
-# builds an equal table, and the scan is the same for each.
-_TABLE_VIEWPOINTS: dict = {}
-_TABLE_VIEWPOINTS_MAX = 32
-
-
 def best_viewpoint(cov_source, fov: SectorFov):
     """Sensor-frame point of minimum measurement uncertainty inside the FOV.
 
-    Analytic maps have a closed-form optimum at (r_best, bearing 0); table
-    maps are scanned on a grid of 0.1 bl by 1 degree.  Ties break toward
-    smaller range, then smaller absolute bearing, for deterministic replay.
-    A table's scan is made once per process for equal table contents and
-    FOV.
+    Analytic maps have a closed-form optimum at (r_best, bearing 0).  On a
+    table it is the in-sector sample of least entropy; ties go to smaller
+    range, then smaller absolute bearing, then the lower row.
+
+    Raises:
+        ValueError: if no table sample lies inside the sector.
     """
     if isinstance(cov_source, AnalyticCovMap):
         if cov_source.k1 > 0:
@@ -152,41 +147,18 @@ def best_viewpoint(cov_source, fov: SectorFov):
             r = 0.0
         return np.array([r, 0.0])
 
-    key = (cov_source.points.tobytes(), cov_source.covs.tobytes(),
-           fov.range_bl, fov.half_angle)
-    viewpoint = _TABLE_VIEWPOINTS.get(key)
-    if viewpoint is None:
-        if len(_TABLE_VIEWPOINTS) >= _TABLE_VIEWPOINTS_MAX:
-            _TABLE_VIEWPOINTS.clear()
-        viewpoint = _TABLE_VIEWPOINTS[key] = _scan_table(cov_source, fov)
-    return viewpoint.copy()
-
-
-def _scan_table(table: CalibrationTable, fov: SectorFov):
-    dr, dphi = 0.1, math.radians(1.0)
-    ranges = np.arange(0.0, fov.range_bl + 0.5 * dr, dr)
-    ranges[-1] = min(ranges[-1], fov.range_bl)
-    n_phi = int(math.ceil(fov.half_angle / dphi))
-    bearings = np.concatenate(
-        [-np.arange(1, n_phi + 1)[::-1] * dphi, [0.0], np.arange(1, n_phi + 1) * dphi]
-    )
-    bearings = bearings[np.abs(bearings) <= fov.half_angle + 1e-12]
-    best = None
-    for r in ranges:
-        for phi in bearings:
-            score = entropy(interpolate_cov(table, r, phi)[0])
-            key = (score, r, abs(phi))
-            if best is None or _vp_better(key, best[0]):
-                best = (key, np.array([r * math.cos(phi), r * math.sin(phi)]))
-    return best[1]
-
-
-def _vp_better(key, ref, tol=1e-12):
-    if key[0] < ref[0] - tol:
-        return True
-    if key[0] > ref[0] + tol:
-        return False
-    return (key[1], key[2]) < (ref[1], ref[2])
+    r, bearing = cov_source.points.T
+    rows = np.flatnonzero((r <= fov.range_bl)
+                          & (np.abs(bearing) <= fov.half_angle))
+    if len(rows) == 0:
+        raise ValueError("calibration table holds no sample inside the "
+                         "sensing sector")
+    c = cov_source.covs[rows]
+    # Each sample's entropy(), in one array pass.
+    h = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    # lexsort is stable, so equal keys keep the lower row first.
+    best = rows[np.lexsort((np.abs(bearing[rows]), r[rows], h))[0]]
+    return cov_source._xy[best].copy()
 
 
 CALIBRATION_CSV_FIELDS = ["r", "bearing_deg", "c11", "c12", "c22"]

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .estimation import EPS_INV, EYE2, GaussianEstimate
-from .sensing import (AnalyticCovMap, SectorFov, load_calibration_csv,
-                      sector_polar, synthetic_calibration_table, wrap_angle)
+from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint,
+                      load_calibration_csv, sector_polar,
+                      synthetic_calibration_table, wrap_angle)
 
 
 # Diagonal added before every Cholesky factor of a noise covariance, so
@@ -157,15 +158,16 @@ class WorldConfig:
         path = self.calibration_csv
         if path and not os.path.isfile(path):
             raise AssumptionError(f"calibration table {path} does not exist")
+        fov = SectorFov(self.r_s, self.half_angle)
         try:
-            if path:
-                return load_calibration_csv(path)
-            return synthetic_calibration_table(
-                self.cov_map(), SectorFov(self.r_s, self.half_angle))
+            table = load_calibration_csv(path) if path else \
+                synthetic_calibration_table(self.cov_map(), fov)
+            best_viewpoint(table, fov)    # needs a sample inside the sector
         except (KeyError, TypeError, ValueError) as err:
             raise AssumptionError(
                 f"calibration table {path or '(synthetic)'} is unusable: "
                 f"{err!r}") from None
+        return table
 
     def to_json(self, path):
         d = asdict(self)

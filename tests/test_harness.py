@@ -253,7 +253,7 @@ def test_hardware_table_preset_runs():
 
 def test_brains_share_one_agent_config(monkeypatch):
     # The run's constants, the best viewpoint among them, are built once per
-    # run: on a calibration table the viewpoint is a scan of the table.
+    # run.
     import pherotrack.agent as agent
     from pherotrack.harness import build_brains
 
@@ -272,37 +272,6 @@ def test_brains_share_one_agent_config(monkeypatch):
         assert all(b.cfg is brains[0].cfg for b in brains)
         assert brains[0].cfg.assign == "local-greedy"
     assert len(scans) == 3
-
-
-def test_table_viewpoint_scan_is_made_once_per_equal_table(monkeypatch):
-    # Every seed of a batch builds its own, equal, calibration table; the
-    # viewpoint scan runs for the first and is reused for the rest.
-    import pherotrack.sensing as sensing
-    from pherotrack.harness import build_brains
-
-    monkeypatch.setattr(sensing, "_TABLE_VIEWPOINTS", {})
-    lookups = []
-    real_interpolate = sensing.interpolate_cov
-
-    def counted(*args):
-        lookups.append(1)
-        return real_interpolate(*args)
-
-    monkeypatch.setattr(sensing, "interpolate_cov", counted)
-    viewpoints, counts = [], []
-    for seed in (0, 1):
-        brains, _, _ = build_brains(hardware_table_preset(), "pheromone",
-                                    "greedy-distributed", seed)
-        viewpoints.append(brains[0].cfg.viewpoint)
-        counts.append(len(lookups))
-    assert counts[0] > 0 and counts[1] == counts[0]
-    assert viewpoints[1].tobytes() == viewpoints[0].tobytes()
-    # Callers get their own copy of the cached point.
-    viewpoints[1][0] = -1.0
-    again, _, _ = build_brains(hardware_table_preset(), "pheromone",
-                               "greedy-distributed", 2)
-    assert again[0].cfg.viewpoint.tobytes() == viewpoints[0].tobytes()
-    assert len(lookups) == counts[0]
 
 
 def test_calibration_csv_config_roundtrip(tmp_path):
@@ -555,14 +524,21 @@ def test_cli_bad_calibration_csv_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_unrunnable_sensor_config_is_usage_error(tmp_path, capsys):
-    # Both passed the gate once and then failed mid-run with a traceback: a
+    # Each passed the gate once and then failed mid-run with a traceback: a
     # synthetic table with no sample inside a 1 bl sector (its grid starts
-    # at 1.5 bl), and a floor-only sensor whose 8-view fusion chains fall
-    # below the inversion limit.
+    # at 1.5 bl), a CSV table whose samples all lie beyond the sensing
+    # radius, and a floor-only sensor whose 8-view fusion chains fall below
+    # the inversion limit.
+    import pherotrack.sensing as sensing
+    far = tmp_path / "far.csv"
+    sensing.save_calibration_csv(sensing.CalibrationTable(
+        [[6.0, 0.0], [7.0, 0.0]], [np.eye(2), np.eye(2)]), far)
     path = tmp_path / "cfg.json"
     for payload, reason in (
             ({"calibration_csv": "", "r_s": 1.0},
              "calibration table (synthetic)"),
+            ({"calibration_csv": str(far), "r_s": 5.5},
+             "no sample inside the sensing sector"),
             ({"n_agents": 8, "n_targets": 6, "k1": 0, "k2": 0, "k_p": 0,
               "eta_floor": 2e-9}, "eta_floor must exceed n_agents")):
         path.write_text(json.dumps(payload))

@@ -72,7 +72,7 @@ GOLDEN = {
     "antiflocking/greedy-distributed": ("201ed5a3681e67a1", "6167f544486b08d9"),
     "antiflocking/auction": ("2865ff95ca8955a9", "2ac3180056676203"),
     "antiflocking/local-greedy": ("832c78e0b8986f53", "04c5dadb29962c98"),
-    "hardware-table": ("30eca6ba08d45d27", "b801f1d4c6d946a5"),
+    "hardware-table": ("113b702d056add50", "94414d8c05be9118"),
     "sim2d-odometry": ("daaf5693712ccf65", "72ea7933709ae613"),
     "levy/correlated-odometry": ("37f1ade69b66a5bd", "8860aab6f3d98423"),
 }
@@ -80,7 +80,7 @@ GOLDEN = {
 FILE_GOLDEN = {
     "pheromone/greedy-distributed": ("0afa925e9f4076e3", "0b52ced8693a7a40"),
     "levy/auction": ("0116d1b771373203", "5881e03dee08bf8f"),
-    "hardware-table": ("73a9da4c71cf548d", "76e2e1fa82fb498d"),
+    "hardware-table": ("b4a7d374b65c73d6", "bf3cb73d07a18fc8"),
     "csv/batch": ("ef732af67037dd5a", "02338d3df61fb286",
                   "e40682d630392bf3"),
     "csv/sweep-fov": ("eca7e6a57f164f2b",),

@@ -75,19 +75,51 @@ def test_best_viewpoint_table_close_to_analytic():
     from pherotrack.estimation import entropy
 
     fov = SectorFov(4.0, math.radians(60.0))
-    # Default calibration grid (radial step 1 bl from 1.5): the scan must
-    # attain the cheapest sample's uncertainty, on the boresight.
+    # Default calibration grid (radial step 1 bl from 1.5): the viewpoint
+    # is a sample of the least uncertainty, on the boresight.
     coarse = synthetic_calibration_table(AnalyticCovMap(), fov)
     vp = best_viewpoint(coarse, fov)
     best_sample = min(entropy(c) for c in coarse.covs)
     r, phi = math.hypot(vp[0], vp[1]), math.atan2(vp[1], vp[0])
-    assert entropy(interpolate_cov(coarse, r, phi)[0]) <= best_sample + 1e-12
-    assert math.isclose(phi, 0.0, abs_tol=1e-12)
-    # A grid dense enough to sample the true optimum at (2, 0): the scan
-    # lands inside that sample's lookup cell.
+    cov, _ = interpolate_cov(coarse, r, phi)
+    assert entropy(cov) == best_sample
+    assert any(vp.tobytes() == xy.tobytes() for xy in coarse._xy)
+    # A grid dense enough to sample the true optimum at (2, 0) lands on it.
     dense = synthetic_calibration_table(AnalyticCovMap(), fov, dr=0.5)
-    vp = best_viewpoint(dense, fov)
-    assert np.linalg.norm(vp - np.array([2.0, 0.0])) < 0.3
+    assert best_viewpoint(dense, fov).tolist() == [2.0, 0.0]
+    # The viewpoint is a copy.
+    vp[0] = -1.0
+    assert best_viewpoint(coarse, fov).tobytes() != vp.tobytes()
+
+
+def test_best_viewpoint_tie_rule():
+    # On the hardware preset the boresight samples at 1.5 and 2.5 bl tie
+    # exactly (variance (r - 2)^2 = 0.25): the smaller range wins.
+    cfg = hardware_table_preset()
+    fov = SectorFov(cfg.r_s, cfg.half_angle)
+    table = synthetic_calibration_table(cfg.cov_map(), fov)
+    assert table.covs[np.flatnonzero(
+        (table.points == [1.5, 0.0]).all(axis=1))[0]].tobytes() == \
+        table.covs[np.flatnonzero(
+            (table.points == [2.5, 0.0]).all(axis=1))[0]].tobytes()
+    assert best_viewpoint(table, fov).tolist() == [1.5, 0.0]
+    # Equal entropy at +-bearing and at the boresight: the smaller |bearing|
+    # wins; at exactly +-bearing, the lower row, in either order.
+    c, phi = np.eye(2), math.radians(10.0)
+    for points, want in (
+            ([[2.0, phi], [2.0, -phi], [2.0, 0.0]], 2),
+            ([[2.0, phi], [2.0, -phi]], 0),
+            ([[2.0, -phi], [2.0, phi]], 0)):
+        tie = CalibrationTable(np.array(points), np.array([c] * len(points)))
+        assert best_viewpoint(tie, fov).tobytes() == tie._xy[want].tobytes()
+    # A sharper sample wins over range and bearing; samples outside the
+    # sector (too far, or beyond the half angle) never count.
+    far = CalibrationTable(
+        np.array([[7.0, 0.0], [2.0, 1.2], [3.0, -0.5], [1.0, 0.0]]),
+        np.array([0.01 * c, 0.01 * c, 0.5 * c, c]))
+    assert best_viewpoint(far, fov).tobytes() == far._xy[2].tobytes()
+    with pytest.raises(ValueError, match="inside the sensing sector"):
+        best_viewpoint(far, SectorFov(0.5, fov.half_angle))
 
 
 def test_interpolate_single_neighbor_is_voronoi_lookup():

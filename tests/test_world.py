@@ -7,6 +7,7 @@ import pytest
 
 from pherotrack.agent import BroadcastPacket, ControlInput
 from pherotrack.estimation import EPS_INV
+from pherotrack.harness import simulate_run
 from pherotrack.pheromone import no_deposits
 from pherotrack.sensing import sector_polar
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
@@ -126,7 +127,6 @@ def test_floor_only_team_above_the_chain_bound_runs():
     with pytest.raises(AssumptionError, match="n_agents"):
         sim_2d_preset(n_agents=8, n_targets=6, k1=0, k2=0, k_p=0,
                       eta_floor=2e-9)
-    from pherotrack.harness import simulate_run
     for n_agents, n_targets in ((8, 6), (2, 2)):
         cfg = sim_2d_preset(n_agents=n_agents, n_targets=n_targets, k1=0,
                             k2=0, k_p=0, eta_floor=(n_agents + 0.5) * EPS_INV)
@@ -371,6 +371,7 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
     def general(r, phi):
         cov = max(cmap.eta(r, phi), cmap.eta_floor) * np.eye(2)
         return cov, np.linalg.cholesky(cov)
+
     seen = 0
     for seed in range(40):
         fast, slow = make_state(cfg, seed), make_state(cfg, seed)
