@@ -12,6 +12,7 @@ from pherotrack.estimation import (EPS_INV, GaussianEstimate,
                                    SingularCovarianceError, _inv_entries,
                                    entropy, flat_entropy, fuse, fuse_stacked,
                                    inv2, propagate, to_flat)
+from pherotrack.sensing import CalibrationTable
 
 
 def random_pd(rng, floor=0.01):
@@ -134,6 +135,20 @@ def test_entropy_is_determinant():
     assert entropy(np.eye(2)) == 1.0
     assert entropy([[2.0, 0.0], [0.0, 3.0]]) == 6.0
     assert entropy([[1.0, 1.0], [1.0, 1.0]]) == 0.0
+
+
+def test_check_cov_validation():
+    # A covariance from outside the program enters as a calibration sample,
+    # which the table checks on a one-sample table.
+    one = np.array([[1.0, 0.0]])
+    table = CalibrationTable(one, np.eye(2))
+    assert np.array_equal(table.covs[0], np.eye(2))
+    with pytest.raises(ValueError):
+        CalibrationTable(one, np.eye(3))
+    with pytest.raises(ValueError):
+        CalibrationTable(one, [[1.0, 0.5], [0.0, 1.0]])       # asymmetric
+    with pytest.raises(ValueError):
+        CalibrationTable(one, [[1.0, 0.0], [0.0, -1.0]])      # indefinite
 
 
 def test_estimate_converts_only_what_is_not_float64_of_its_shape():
