@@ -5,15 +5,16 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pherotrack.harness import (TELEMETRY_COLUMNS, ExperimentSpec,
-                                objective_H, run_monte_carlo, run_sweep,
-                                simulate_run, summarize)
+from pherotrack.harness import (SUMMARY_KEYS, TELEMETRY_COLUMNS,
+                                ExperimentSpec, objective_H, run_monte_carlo,
+                                run_sweep, simulate_run, summarize)
 from pherotrack.world import hardware_table_preset, sim_2d_preset
-from pherotrack import cli
+from pherotrack import cli, harness
 
 
 def small_cfg(**kw):
@@ -379,6 +380,51 @@ def test_sweep_env_grid(tmp_path):
     assert len(rows) == 4
     with pytest.raises(ValueError):
         run_sweep(base, which="bogus")
+
+
+# Every study grid's points in sweep.csv's order: (label, overrides).
+SWEEP_POINTS = {
+    "agents": [
+        ("agents2_targets2", {"n_agents": 2, "n_targets": 2}),
+        ("agents4_targets2", {"n_agents": 4, "n_targets": 2}),
+        ("agents4_targets4", {"n_agents": 4, "n_targets": 4}),
+        ("agents6_targets2", {"n_agents": 6, "n_targets": 2}),
+        ("agents6_targets4", {"n_agents": 6, "n_targets": 4}),
+        ("agents6_targets6", {"n_agents": 6, "n_targets": 6}),
+        ("agents8_targets2", {"n_agents": 8, "n_targets": 2}),
+        ("agents8_targets4", {"n_agents": 8, "n_targets": 4}),
+        ("agents8_targets6", {"n_agents": 8, "n_targets": 6}),
+    ],
+    "env": [
+        ("env10", {"domain": (10.0, 10.0)}),
+        ("env30", {"domain": (30.0, 30.0)}),
+        ("env50", {"domain": (50.0, 50.0)}),
+    ],
+    "fov": [
+        ("fov2", {"r_s": 2.0}),
+        ("fov4", {"r_s": 4.0}),
+        ("fov6", {"r_s": 6.0}),
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SWEEP_POINTS))
+def test_sweep_grid_points(grid, monkeypatch):
+    # The base config holds no value any grid point sets, so each batch's
+    # config differs from it in exactly that point's overrides.
+    base = ExperimentSpec(config=small_cfg(n_agents=1, r_s=3.0))
+    changed = []
+
+    def batch(spec):
+        changed.append({
+            f.name: getattr(spec.config, f.name) for f in fields(spec.config)
+            if not np.array_equal(getattr(spec.config, f.name),
+                                  getattr(base.config, f.name))})
+        return dict.fromkeys(SUMMARY_KEYS), []
+
+    monkeypatch.setattr(harness, "run_monte_carlo", batch)
+    labels = [label for label, _ in run_sweep(base, which=grid)]
+    assert list(zip(labels, changed)) == SWEEP_POINTS[grid]
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):
