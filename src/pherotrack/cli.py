@@ -68,7 +68,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="a grid of Monte-Carlo batches")
     _add_common(p_sweep)
-    p_sweep.add_argument("--grid", choices=("agents", "env", "fov"),
+    p_sweep.add_argument("--grid", choices=tuple(harness.SWEEP_GRIDS),
                          default="agents", help="which study grid to iterate")
 
     args = parser.parse_args(argv)

@@ -172,7 +172,8 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
         for i in range(n):
             dp, sdp = wd.sense_displacement(state, i, prev_pos[i], cfg)
             dets = wd.sense_targets(state, i, cfg, cov_fn)
-            for tid, _ in dets:
+            in_view = {tid for tid, _ in dets}
+            for tid in in_view:
                 metrics.first_detection.setdefault(tid, t)
             forced = None if oracle is None else oracle.assignment.get(i, 0)
             packet, u, telem = brains[i].step(
@@ -180,8 +181,7 @@ def simulate_run(cfg: wd.WorldConfig, search: str, assign: str,
                 state.agent_pos[i], forced_target=forced)
             new_packets[i] = packet
             inputs.append(u)
-            if telem.target_id > 0 and wd.target_in_fov(
-                    state, i, telem.target_id - 1, cfg):
+            if telem.target_id in in_view:
                 satisfied.add(telem.target_id)
             if telemetry_writer is not None:
                 mode = "exploit" if telem.target_id > 0 else "explore"
@@ -300,39 +300,27 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-# Sweep grids mirroring the reported studies.
-SWEEP_AGENTS = (2, 4, 6, 8)
-SWEEP_TARGETS = (2, 4, 6)
-SWEEP_ENV_SIZES = (10.0, 30.0, 50.0)
-SWEEP_FOV_RANGES = (2.0, 4.0, 6.0)
+# The study grids mirroring the reported studies (agent x target counts,
+# domain sizes, sensing radii): each name maps to the grid's (label, config
+# overrides) points in sweep.csv's order.
+SWEEP_GRIDS = {
+    "agents": tuple((f"agents{n}_targets{m}", dict(n_agents=n, n_targets=m))
+                    for n in (2, 4, 6, 8) for m in (2, 4, 6) if m <= n),
+    "env": tuple((f"env{s:g}", dict(domain=(s, s)))
+                 for s in (10.0, 30.0, 50.0)),
+    "fov": tuple((f"fov{r:g}", dict(r_s=r)) for r in (2.0, 4.0, 6.0)),
+}
 
 
 def run_sweep(base: ExperimentSpec, which="agents"):
-    """Iterate one of the study grids, one Monte-Carlo batch per point.
-
-    ``which`` selects the grid: "agents" (agent x target counts), "env"
-    (domain sizes), or "fov" (sensing radii).  Returns a list of (label,
-    summary) pairs and writes sweep.csv when out_dir is set.
+    """Iterate the :data:`SWEEP_GRIDS` grid named ``which``, one Monte-Carlo
+    batch per point.  Returns a list of (label, summary) pairs and writes
+    sweep.csv when out_dir is set.
     """
-    points = []
-    if which == "agents":
-        for ns in SWEEP_AGENTS:
-            for nh in SWEEP_TARGETS:
-                if ns < nh:
-                    continue
-                points.append((f"agents{ns}_targets{nh}",
-                               dict(n_agents=ns, n_targets=nh)))
-    elif which == "env":
-        for size in SWEEP_ENV_SIZES:
-            points.append((f"env{size:g}", dict(domain=(size, size))))
-    elif which == "fov":
-        for r_s in SWEEP_FOV_RANGES:
-            points.append((f"fov{r_s:g}", dict(r_s=r_s)))
-    else:
+    if which not in SWEEP_GRIDS:
         raise ValueError(f"unknown sweep grid {which!r}")
-
     out = []
-    for label, overrides in points:
+    for label, overrides in SWEEP_GRIDS[which]:
         cfg = replace(base.config, **overrides)
         sub_dir = os.path.join(base.out_dir, label) if base.out_dir else None
         spec = replace(base, config=cfg, out_dir=sub_dir)

@@ -185,13 +185,13 @@ def load_calibration_csv(path) -> CalibrationTable:
     return CalibrationTable(np.array(points), np.array(covs))
 
 
-def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov,
-                                dr=1.0) -> CalibrationTable:
+def synthetic_calibration_table(cmap: AnalyticCovMap,
+                                fov: SectorFov) -> CalibrationTable:
     """Sample the analytic map on a hardware-style calibration grid.
 
     Mirrors the pan/tilt characterization procedure (10 degree angular steps,
-    ``dr`` = 1 bl radial steps from 1.5 bl) so the table-based pipeline can
-    be exercised without hardware data.
+    1 bl radial steps from 1.5 bl) so the table-based pipeline can be
+    exercised without hardware data.
     """
     dphi = math.radians(10.0)
     n_phi = int(math.floor(fov.half_angle / dphi))
@@ -202,5 +202,5 @@ def synthetic_calibration_table(cmap: AnalyticCovMap, fov: SectorFov,
             phi = k * dphi
             points.append([r, phi])
             covs.append(cmap.variance(r, phi) * EYE2)
-        r += dr
+        r += 1.0
     return CalibrationTable(np.array(points), np.array(covs))

@@ -234,7 +234,6 @@ class WorldState:
     agent_pos: np.ndarray        # (N, 2)
     agent_heading: np.ndarray    # (N,)
     target_pos: np.ndarray       # (M, 2)
-    t: int = 0
     target_rngs: list = field(default_factory=list)
     sense_rngs: list = field(default_factory=list)
     channel_rngs: list = field(default_factory=list)
@@ -308,17 +307,7 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
         x = state.target_pos[k, 0] + noise[0]
         y = state.target_pos[k, 1] + noise[1]
         state.target_pos[k] = (_reflect(x, 0.0, w), _reflect(y, 0.0, h))
-
-    state.t += 1
     return state
-
-
-def target_in_fov(state: WorldState, agent: int, target: int,
-                  cfg: WorldConfig) -> bool:
-    """Whether the agent's true sector holds the target (0-based index)."""
-    x, y = (state.target_pos[target] - state.agent_pos[agent]).tolist()
-    return sector_polar(x, y, cfg.r_s, cfg.half_angle,
-                        float(state.agent_heading[agent])) is not None
 
 
 def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,

@@ -425,6 +425,7 @@ def test_sweep_grid_points(grid, monkeypatch):
     monkeypatch.setattr(harness, "run_monte_carlo", batch)
     labels = [label for label, _ in run_sweep(base, which=grid)]
     assert list(zip(labels, changed)) == SWEEP_POINTS[grid]
+    assert sorted(harness.SWEEP_GRIDS) == sorted(SWEEP_POINTS)
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

@@ -84,8 +84,11 @@ def test_best_viewpoint_table_close_to_analytic():
     cov, _ = interpolate_cov(coarse, r, phi)
     assert entropy(cov) == best_sample
     assert any(vp.tobytes() == xy.tobytes() for xy in coarse._xy)
-    # A grid dense enough to sample the true optimum at (2, 0) lands on it.
-    dense = synthetic_calibration_table(AnalyticCovMap(), fov, dr=0.5)
+    # A table that also samples the true optimum at (2, 0) lands on it.
+    cmap = AnalyticCovMap()
+    points = np.vstack([coarse.points, [[2.0, 0.0]]])
+    dense = CalibrationTable(
+        points, [cmap.variance(r, phi) * np.eye(2) for r, phi in points])
     assert best_viewpoint(dense, fov).tolist() == [2.0, 0.0]
     # The viewpoint is a copy.
     vp[0] = -1.0

@@ -13,7 +13,7 @@ from pherotrack.sensing import sector_polar
 from pherotrack.world import (AssumptionError, PRESETS, WorldConfig,
                               deliver_broadcasts, hardware_table_preset,
                               make_state, sense_displacement, sense_targets,
-                              sim_2d_preset, step_dynamics, target_in_fov)
+                              sim_2d_preset, step_dynamics)
 
 
 # -- assumption gate ---------------------------------------------------------
@@ -254,7 +254,6 @@ def test_unicycle_step():
     step_dynamics(state, [ControlInput(0.4, math.radians(15.0))], cfg)
     assert np.allclose(state.agent_pos[0], [5.4, 5.0])
     assert math.isclose(state.agent_heading[0], math.radians(15.0))
-    assert state.t == 1
 
 
 def test_agents_clamped_to_domain():
@@ -282,15 +281,15 @@ def test_targets_reflect_and_stay_inside():
 # -- sensing -----------------------------------------------------------------
 
 
-def test_target_in_fov_geometry():
+def test_sense_targets_sector_placements():
     cfg = cfg_quiet()
     state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
-    assert target_in_fov(state, 0, 0, cfg)
+    assert [tid for tid, _ in sense_targets(state, 0, cfg)] == [1]
     place(state, [[5.0, 5.0]], [math.pi], [[7.0, 5.0]])
-    assert not target_in_fov(state, 0, 0, cfg)          # behind
+    assert sense_targets(state, 0, cfg) == []           # behind
     place(state, [[5.0, 5.0]], [0.0], [[9.5, 5.0]])
-    assert not target_in_fov(state, 0, 0, cfg)          # beyond r_s
+    assert sense_targets(state, 0, cfg) == []           # beyond r_s
 
 
 # (heading, sensor-relative point, inside?) for r_s = 4 and a 90 degree
@@ -320,9 +319,8 @@ def test_one_sector_rule_for_every_caller():
         place(state, [[10.0, 10.0]], [heading], [[10.0 + x, 10.0 + y]])
         polar = sector_polar(x, y, cfg.r_s, cfg.half_angle, heading)
         dets = sense_targets(state, 0, cfg)
-        got = (polar is not None, target_in_fov(state, 0, 0, cfg),
-               len(dets) == 1)
-        assert got == (inside,) * 3, (heading, x, y, got)
+        got = (polar is not None, len(dets) == 1)
+        assert got == (inside,) * 2, (heading, x, y, got)
         if inside:
             # Noise-free, the detection is the true point, with the
             # covariance the map gives at the helper's (r, bearing).
