@@ -142,13 +142,22 @@ class WorldConfig:
             raise AssumptionError("counts and periods must be positive")
         if self.n_targets < 0:
             raise AssumptionError("target count must not be negative")
-        # Every estimate gets inverted in fusion, and a fusion chain holds up
-        # to n_agents views at the floor: their fused covariance, floor /
-        # n_agents, must still clear the inversion limit.
-        if not self.eta_floor > self.n_agents * EPS_INV:
+        # Every estimate gets inverted in fusion.  A record that grows by q
+        # (q_bar's least eigenvalue) a step and fuses a detection at the
+        # floor f every step settles at p = 2 q f / (q + sqrt(q^2 + 4 q f)),
+        # below f; a fusion chain holds up to n_agents such records, so p /
+        # n_agents must still clear the inversion limit.  A floor that is
+        # not positive settles at 0.
+        f = self.eta_floor
+        q = max(float(np.linalg.eigvalsh(self.q_bar)[0]), 0.0)
+        p = 2 * q * f / (q + math.sqrt(q * q + 4 * q * f)) \
+            if q > 0 and f > 0 else 0.0
+        if not p > self.n_agents * EPS_INV:
             raise AssumptionError(
-                "sensor noise floor eta_floor must exceed "
-                f"n_agents * {EPS_INV} = {self.n_agents * EPS_INV:g}")
+                "sensor noise floor eta_floor must exceed n_agents * "
+                f"{EPS_INV} = {self.n_agents * EPS_INV:g} as the variance a "
+                "record settles at under q_bar's least eigenvalue q: "
+                f"2 q f / (q + sqrt(q^2 + 4 q f)) = {p:g}")
         if self.calibration_csv is not None:
             # Kept for the runs, so a table is built or parsed once per
             # check; not a field, so it stays out of the JSON form.

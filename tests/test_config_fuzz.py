@@ -5,8 +5,9 @@ field's edges: a sensing radius below the synthetic calibration grid's
 1.5 bl, a floor-only camera (k1 = k2 = 0), noise floors just above the
 inversion limit and just above the chain bound of 8 agents, a noiseless
 neighbor channel (k_p = 0), a 360 degree sector, a reception period longer
-than any run, no targets, one agent, a domain smaller than a pheromone cell
-and a singular odometry noise.  Each accepted config runs a short episode of
+than any run, no targets, one agent, a domain smaller than a pheromone cell,
+a singular odometry noise, static targets (q_k = q_bar = 0) and a bound
+q_bar small enough that a detected record settles near the floor.  Each accepted config runs a short episode of
 a drawn search/assign pair with RuntimeWarning an error; a config that
 cannot finish must be rejected by the gate instead.
 
@@ -34,6 +35,8 @@ N_CONFIGS = 200
 
 TURN = math.radians(15.0)
 SINGULAR = ((1e-3, 1e-3), (1e-3, 1e-3))
+ZERO = ((0.0, 0.0), (0.0, 0.0))
+SMALL = ((1e-6, 0.0), (0.0, 1e-6))
 # Grids and domains stay small so that 200 runs fit in the fast tier's
 # budget: a pheromone grid is 2 r_c / cell_size cells a side, and every
 # deposit under odometry noise costs one convolution of it.
@@ -50,12 +53,15 @@ FIELDS = {
     "r_bar": [0.0, 2.0],
     "eta_floor": [1.5e-9, 8.5e-9, 1e-3],
     "k_p": [0.0, 1.0],
-    # (q_k, q_bar, u_max) of the two presets: the top speed must outrun
-    # the target noise, so the three go together.
+    # (q_k, q_bar, u_max) of the two presets, of static targets and of a
+    # small bound: the top speed must outrun the target noise, so the three
+    # go together.
     "motion": [(((0.005, 0.0), (0.0, 0.005)), ((0.01, 0.0), (0.0, 0.01)),
                 (0.4, TURN)),
                (((0.01, 0.0), (0.0, 0.01)), ((0.19, 0.0), (0.0, 0.15)),
-                (0.6, TURN))],
+                (0.6, TURN)),
+               (ZERO, ZERO, (0.4, TURN)),
+               (SMALL, SMALL, (0.4, TURN))],
     "r_dp": [((0.0, 0.0), (0.0, 0.0)), ((1e-3, 0.0), (0.0, 1e-3)), SINGULAR],
     "sigma_bar": [1.0, 3600.0],
     "cell_size": [0.25, 1.0],

@@ -135,6 +135,30 @@ def test_floor_only_team_above_the_chain_bound_runs():
         assert len(m.h_series) == 400
 
 
+def test_gate_bounds_the_settled_record_variance():
+    # With static targets (q_bar = 0) a record fused with a detection at
+    # the floor every step shrinks as floor / t: this 8/6 team passed the
+    # floor bound alone and raised SingularCovarianceError on seed 0 within
+    # 400 steps.
+    zero = np.zeros((2, 2))
+    floor_only = dict(n_agents=8, n_targets=6, k1=0, k2=0, k_p=0)
+    with pytest.raises(AssumptionError, match="n_agents"):
+        sim_2d_preset(**floor_only, eta_floor=8.5e-9, q_k=zero, q_bar=zero)
+    # With q_bar = q I the record settles at p = 2 q f / (q + sqrt(q^2 +
+    # 4 q f)), which reaches 8 * EPS_INV at f = 8.064e-9 for q = 1e-6.
+    small = 1e-6 * np.eye(2)
+    with pytest.raises(AssumptionError, match="n_agents"):
+        sim_2d_preset(**floor_only, eta_floor=8.05e-9, q_k=small, q_bar=small)
+    cfg = sim_2d_preset(**floor_only, eta_floor=8.08e-9, q_k=small,
+                        q_bar=small)
+    m = simulate_run(cfg, "pheromone", "greedy-distributed", 400, 0,
+                     stop_when_tracked=False)
+    assert len(m.h_series) == 400
+    for floor in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(AssumptionError, match="n_agents"):
+            WorldConfig(eta_floor=floor, q_k=small, q_bar=small)
+
+
 def test_gate_rejects_nonpositive_turn_rate():
     for turn in (0.0, -math.radians(15.0)):
         with pytest.raises(AssumptionError):
