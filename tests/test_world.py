@@ -112,9 +112,11 @@ def test_gate_rejects_negative_neighbor_sensing_gain():
 def test_gate_rejects_singular_noise_floor():
     # At or below the inversion limit, a detection at the camera optimum
     # (or a channel measurement at zero range) cannot be fused; and a chain
-    # of n_agents views at the floor fuses to floor / n_agents.
+    # of n_agents views at the floor fuses to floor / n_agents.  An
+    # infinite floor passed once and made the first detection's noise NaN.
     n = WorldConfig().n_agents
-    for floor in (-1.0, 0.0, EPS_INV, 2 * EPS_INV, n * EPS_INV):
+    for floor in (-1.0, 0.0, EPS_INV, 2 * EPS_INV, n * EPS_INV, math.nan,
+                  math.inf):
         with pytest.raises(AssumptionError):
             WorldConfig(eta_floor=floor)
     WorldConfig(eta_floor=(n + 0.5) * EPS_INV)
@@ -154,9 +156,6 @@ def test_gate_bounds_the_settled_record_variance():
     m = simulate_run(cfg, "pheromone", "greedy-distributed", 400, 0,
                      stop_when_tracked=False)
     assert len(m.h_series) == 400
-    for floor in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(AssumptionError, match="n_agents"):
-            WorldConfig(eta_floor=floor, q_k=small, q_bar=small)
 
 
 def test_gate_rejects_nonpositive_turn_rate():
@@ -305,21 +304,10 @@ def test_targets_reflect_and_stay_inside():
 # -- sensing -----------------------------------------------------------------
 
 
-def test_sense_targets_sector_placements():
-    cfg = cfg_quiet()
-    state = quiet_state(cfg)
-    place(state, [[5.0, 5.0]], [0.0], [[7.0, 5.0]])
-    assert [tid for tid, _ in sense_targets(state, 0, cfg)] == [1]
-    place(state, [[5.0, 5.0]], [math.pi], [[7.0, 5.0]])
-    assert sense_targets(state, 0, cfg) == []           # behind
-    place(state, [[5.0, 5.0]], [0.0], [[9.5, 5.0]])
-    assert sense_targets(state, 0, cfg) == []           # beyond r_s
-
-
 # (heading, sensor-relative point, inside?) for r_s = 4 and a 90 degree
 # sector, whose half-angle edges (1, +-1) have exactly representable bearings.
 SECTOR_CASES = [
-    (0.0, (2.0, 0.0), True),
+    (0.0, (2.0, 0.0), True),                  # in front
     (0.0, (4.0, 0.0), True),                  # on the range edge
     (0.0, (4.0 + 1e-6, 0.0), False),          # just beyond it
     (0.0, (1.0, 1.0), True),                  # on the left half-angle edge
@@ -328,7 +316,7 @@ SECTOR_CASES = [
     (0.0, (1.0, -1.0 - 1e-6), False),
     (0.0, (-2.0, 0.0), False),                # behind
     (math.pi, (-2.0, 0.0), True),             # ahead once turned around
-    (math.pi, (2.0, 0.0), False),
+    (math.pi, (2.0, 0.0), False),             # behind once turned around
     (0.0, (0.0, 0.0), True),                  # at the agent itself
     (math.pi, (0.0, 0.0), True),
 ]
