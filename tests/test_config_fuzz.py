@@ -7,9 +7,10 @@ inversion limit and just above the chain bound of 8 agents, a noiseless
 neighbor channel (k_p = 0), a 360 degree sector, a reception period longer
 than any run, no targets, one agent, a domain smaller than a pheromone cell,
 a singular odometry noise, static targets (q_k = q_bar = 0) and a bound
-q_bar small enough that a detected record settles near the floor.  Each accepted config runs a short episode of
-a drawn search/assign pair with RuntimeWarning an error; a config that
-cannot finish must be rejected by the gate instead.
+q_bar small enough that a detected record settles near the floor.  Each
+accepted config runs a short episode of a drawn search/assign pair with
+RuntimeWarning an error; a config that cannot finish must be rejected by
+the gate instead.
 
 The fast tier runs the first 200 draws.  A wider sample runs with
 
