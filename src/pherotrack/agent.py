@@ -126,7 +126,7 @@ class AgentBrain:
     own_pheromones: np.ndarray = field(default_factory=ph.no_deposits)
     neighbor_pheromones: dict = field(default_factory=dict)  # id -> rows
     carried: tuple | None = None    # (waypoint, stored weight) while exploring
-    prev_waypoint_body: np.ndarray | None = None
+    prev_face_body: np.ndarray | None = None
     step_count: int = 0
 
     def snapshot_packet(self) -> BroadcastPacket:
@@ -271,7 +271,8 @@ class AgentBrain:
         """Run one full agent iteration.
 
         Args:
-            detections: list of (target_id, GaussianEstimate) from the sensor.
+            detections: list of (target_id, GaussianEstimate) from the
+                sensor, each a flat ``(mean, cov)`` pair of float tuples.
             rx_packets: (BroadcastPacket as sent, GaussianEstimate of the
                 sender's relative position) pairs delivered this step.
             displacement: sensed own displacement p(t) - p(t-1), local frame.
@@ -358,9 +359,9 @@ class AgentBrain:
         to_body = rot2(-heading)
         waypoint_body = to_body @ waypoint
         face_body = to_body @ face
-        control = pd_control(waypoint_body, self.prev_waypoint_body,
+        control = pd_control(waypoint_body, self.prev_face_body,
                              cfg.u_max, face_body)
-        self.prev_waypoint_body = face_body
+        self.prev_face_body = face_body
 
         telemetry = Telemetry(k_star, np.asarray(waypoint, float),
                               exploit_entropy)

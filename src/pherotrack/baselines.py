@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import fftconvolve
 
-from .estimation import add4, flat_entropy
+from .estimation import flat_entropy
+from .tracking import cheapest_views
 
 LEVY_MU = 1.5                # power-law tail exponent of the leg length
 LEVY_STEP_MIN = 1.0          # shortest leg (bl)
@@ -134,8 +135,8 @@ class AuctionOracle:
 def _team_auction(brains, known, prev):
     """Centralized assignment over the union of current entropy tables.
 
-    Uses each agent's cheapest view of each target (local det, or the
-    neighbor-lifted det); targets nobody knows are dropped.  Pairs from the
+    Uses each agent's cheapest view of each target
+    (:func:`~pherotrack.tracking.cheapest_views`).  Pairs from the
     previous assignment persist while the agent still has a view and nobody
     else's view is dramatically sharper; without that hysteresis the near-tied
     broadcast copies make the winner rotate every recomputation and no agent
@@ -145,24 +146,10 @@ def _team_auction(brains, known, prev):
     """
     if not known:
         return {}
-    costs = np.full((len(brains), len(known)), np.inf)
+    costs = np.empty((len(brains), len(known)))
     for bi, b in enumerate(brains):
-        for ki, tid in enumerate(known):
-            best = math.inf
-            rec = b.local_targets.records.get(tid)
-            if rec is not None:
-                best = flat_entropy(rec.cov)
-            for nl in b.neighbor_targets.values():
-                nrec = nl.records.get(tid)
-                if nrec is not None:
-                    best = min(best,
-                               flat_entropy(add4(nrec.cov, nl.rel_cov)))
-            costs[bi, ki] = best
-    keep = [ki for ki in range(len(known)) if np.isfinite(costs[:, ki]).any()]
-    if not keep:
-        return {}
-    costs = costs[:, keep]
-    kept_ids = [known[ki] for ki in keep]
+        views = cheapest_views(b.local_targets, b.neighbor_targets)
+        costs[bi] = [views.get(tid, math.inf) for tid in known]
     # A finite penalty for unknown pairs keeps the table feasible even when
     # two targets are known only through the same agent; an agent stuck with
     # a target it cannot see simply keeps exploring.
@@ -171,21 +158,21 @@ def _team_auction(brains, known, prev):
 
     sticky = {}
     for agent, tid in prev.items():
-        if tid not in kept_ids or agent in sticky.values():
+        if tid not in known:
             continue
-        ki = kept_ids.index(tid)
+        ki = known.index(tid)
         c = costs[agent, ki]
         if c < penalty and costs[:, ki].min() > 1e-2 * c:
             sticky[tid] = agent
 
     free_agents = [a for a in range(len(brains)) if a not in sticky.values()]
-    free_cols = [ki for ki, tid in enumerate(kept_ids) if tid not in sticky]
+    free_cols = [ki for ki, tid in enumerate(known) if tid not in sticky]
     out = {agent: tid for tid, agent in sticky.items()}
     if free_cols and free_agents:
         sub = costs[np.ix_(free_agents, free_cols)]
         pairing = auction_assign(sub)
         for a, ki in pairing.items():
-            out[free_agents[a]] = kept_ids[free_cols[ki]]
+            out[free_agents[a]] = known[free_cols[ki]]
     return out
 
 

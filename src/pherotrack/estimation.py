@@ -19,8 +19,6 @@ import numpy as np
 # Eigenvalue floor below which a covariance counts as singular for inversion.
 EPS_INV = 1e-9
 
-_F64 = np.dtype(float)
-
 # The 2x2 identity, shared read-only; build scaled copies with ``s * EYE2``.
 EYE2 = np.eye(2)
 EYE2.flags.writeable = False
@@ -36,21 +34,17 @@ class SingularCovarianceError(ValueError):
 
 @dataclass
 class GaussianEstimate:
-    """Relative-position mean with its 2x2 covariance."""
+    """Relative-position mean with its 2x2 covariance, built from anything
+    numpy reads as two and four floats and held as the tracker's flat pair:
+    ``mean`` the tuple ``(x, y)`` and ``cov`` ``(c00, c01, c10, c11)``."""
 
-    mean: np.ndarray
-    cov: np.ndarray
+    mean: tuple
+    cov: tuple
 
     def __post_init__(self):
-        # Most estimates are built from fresh float64 arrays; only convert
-        # (and reshape) what is not one already.
-        m, c = self.mean, self.cov
-        if not (type(m) is np.ndarray and m.dtype is _F64
-                and m.shape == (2,)):
-            self.mean = np.asarray(m, dtype=float).reshape(2)
-        if not (type(c) is np.ndarray and c.dtype is _F64
-                and c.shape == (2, 2)):
-            self.cov = np.asarray(c, dtype=float).reshape(2, 2)
+        x, y = np.asarray(self.mean, float).ravel().tolist()
+        c00, c01, c10, c11 = np.asarray(self.cov, float).ravel().tolist()
+        self.mean, self.cov = (x, y), (c00, c01, c10, c11)
 
 
 # The 2x2 kernels below work on the four entries of a matrix.  The entries
@@ -127,15 +121,6 @@ def fuse(a_mean, a_cov, b_mean, b_cov):
     return tuple(mean.tolist()), cov
 
 
-def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
-    """:func:`fuse` applied row by row to stacks (K, 2) and (K, 2, 2).
-
-    Returns the fused (means, covs); every row has the bits :func:`fuse`
-    gives for that pair.
-    """
-    return fuse_informed(a_mean, a_cov, *info_form(b_mean, b_cov))
-
-
 def info_form(mean, cov):
     """Inverse covariances and information vectors (K, 2, 1) of a stack.
 
@@ -147,7 +132,12 @@ def info_form(mean, cov):
 
 
 def fuse_informed(a_mean, a_cov, ib, ib_b):
-    """:func:`fuse_stacked` with its second operand in :func:`info_form`."""
+    """:func:`fuse` applied row by row to stacks (K, 2) and (K, 2, 2), with
+    the second operand in :func:`info_form`.
+
+    Returns the fused (means, covs); every row has the bits :func:`fuse`
+    gives for that pair.
+    """
     ia, ia_a = info_form(a_mean, a_cov)
     cov = inv2(ia + ib, check=False)
     return np.matmul(cov, ia_a + ib_b)[..., 0], cov
@@ -194,9 +184,3 @@ def propagate(mean, cov, shift, growth):
 def scaled_eye(s):
     """Flat ``s * EYE2``: its off-diagonal zeros are ``s * 0.0``."""
     return (s * 1.0, s * 0.0, s * 0.0, s * 1.0)
-
-
-def to_flat(e: GaussianEstimate):
-    """(mean, cov) tuples of an estimate."""
-    (c00, c01), (c10, c11) = e.cov.tolist()
-    return tuple(e.mean.tolist()), (c00, c01, c10, c11)

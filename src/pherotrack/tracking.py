@@ -1,30 +1,30 @@
 """Per-agent target memory and negotiation.
 
 Holds the local target list, the per-neighbor target lists (kept in each
-neighbor's frame), the storage update rule, the two-phase distributed-greedy
-target selection, the neighbor-frame transform, and batched
+neighbor's frame), the storage update rule, each agent's cheapest view of
+every target, the two-phase distributed-greedy target selection, and batched
 combined-estimate fusion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (GaussianEstimate, add2, add4, flat_entropy, fuse,
-                         fuse_informed, info_form, propagate, scaled_eye,
-                         to_flat)
+from .estimation import (add2, add4, flat_entropy, fuse, fuse_informed,
+                         info_form, propagate, scaled_eye)
 
 
 @dataclass(slots=True, eq=False)
 class TargetRecord:
     """One target's estimate as held by one agent.
 
-    ``mean`` and ``cov`` are flat tuples of Python floats (see
-    :func:`~pherotrack.estimation.to_flat`).  Tuples cannot be written in
-    place, so a copy, a broadcast packet and every holder share them; an
-    update rebinds the attribute.
+    ``mean`` and ``cov`` are flat tuples of Python floats, as in a
+    :class:`~pherotrack.estimation.GaussianEstimate`.  Tuples cannot be
+    written in place, so a copy, a broadcast packet and every holder share
+    them; an update rebinds the attribute.
     """
 
     target_id: int
@@ -82,13 +82,12 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     this step, where ``sensed_rel_pos`` is the receiver-side measurement of
     the sender attached by the channel.
 
-    Each measurement becomes a flat ``(mean, cov)`` pair once, on entry;
-    prediction and fusion work on the pairs.  Mutates ``local`` and
-    ``neighbors`` in place.
+    A measurement arrives as the flat ``(mean, cov)`` pair prediction and
+    fusion work on.  Mutates ``local`` and ``neighbors`` in place.
     """
     d = tuple(np.asarray(shift, dtype=float).reshape(2).tolist())
     q = cfg.q_flat
-    det_by_id = {tid: to_flat(est) for tid, est in detections}
+    det_by_id = {tid: (est.mean, est.cov) for tid, est in detections}
 
     # Local list: predict with (shift, q_bar), fuse any matching detection.
     for tid, rec in local.records.items():
@@ -116,7 +115,7 @@ def update_storage(local: LocalTargetList, neighbors: dict, detections,
     for sender, records, rel_meas in rx_packets:
         heard_from.add(sender)
         records = {r.target_id: r.copy() for r in records}
-        meas = to_flat(rel_meas)
+        meas = rel_meas.mean, rel_meas.cov
         nlist = neighbors.get(sender)
         if nlist is None:
             neighbors[sender] = NeighborTargetList(records, *meas)
@@ -145,15 +144,18 @@ def _prune(records: dict, sigma_bar: float):
         del records[tid]
 
 
-def transform_neighbor_estimate(est: GaussianEstimate,
-                                neighbor: GaussianEstimate) -> GaussianEstimate:
-    """Lift a neighbor-frame estimate into the local frame.
-
-    The neighbor's own position uncertainty adds on (the two sensing channels
-    are independent), so the lifted estimate is never more confident than the
-    stored one.
+def cheapest_views(local: LocalTargetList, neighbors: dict) -> dict:
+    """Each known target's least uncertainty as seen from here: the local
+    record's det, or a neighbor record's det lifted by that neighbor's
+    ``rel_cov``, whichever is lower.  Returns ``{target id: det}``.
     """
-    return GaussianEstimate(est.mean + neighbor.mean, est.cov + neighbor.cov)
+    views = {tid: flat_entropy(rec.cov) for tid, rec in local.records.items()}
+    for nlist in neighbors.values():
+        for tid, rec in nlist.records.items():
+            h = flat_entropy(add4(rec.cov, nlist.rel_cov))
+            if h < views.get(tid, math.inf):
+                views[tid] = h
+    return views
 
 
 def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
@@ -170,29 +172,25 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
     seen from here (neighbor-held estimates pay the relative-position
     inflation).  Returns 0 when no candidate exists (explore).
     """
-    holdings = [(self_id, local.records, None)]
-    for nid in sorted(neighbors):
-        nlist = neighbors[nid]
-        if nlist.records:
-            holdings.append((nid, nlist.records, nlist.rel_cov))
+    holdings = [(self_id, local.records)] + [
+        (nid, nlist.records) for nid, nlist in neighbors.items()
+        if nlist.records]
     holdings.sort(key=lambda h: h[0])
 
     # Per holding its dets; per target the sharpest (det, agent id), ties
     # kept by the lower id because holdings ascend.
     table, sharpest = [], {}
-    for aid, recs, rel_cov in holdings:
+    for aid, recs in holdings:
         dets = {}
         for tid, rec in recs.items():
             d = dets[tid] = flat_entropy(rec.cov)
             best = sharpest.get(tid)
             if best is None or d < best[0]:
                 sharpest[tid] = (d, aid)
-        table.append((aid, dets, recs, rel_cov))
-    if not sharpest:
-        return 0
+        table.append((aid, dets))
 
     claimed = {}
-    for aid, dets, _, _ in table:
+    for aid, dets in table:
         for tid in sorted(dets, key=lambda t: (dets[t], t)):
             if tid not in claimed and sharpest[tid][1] == aid:
                 claimed[tid] = aid
@@ -202,16 +200,11 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
         if aid == self_id:
             return tid
 
-    # Phase 2: cheapest unclaimed target reachable through any holding.
+    # Phase 2: the cheapest unclaimed view.
     best = None
-    for aid, dets, recs, rel_cov in table:
-        for tid, h in dets.items():
-            if tid in claimed:
-                continue
-            if aid != self_id:
-                h = flat_entropy(add4(recs[tid].cov, rel_cov))
-            if best is None or (h, tid) < best:
-                best = (h, tid)
+    for tid, h in cheapest_views(local, neighbors).items():
+        if tid not in claimed and (best is None or (h, tid) < best):
+            best = (h, tid)
     return best[1] if best else 0
 
 
@@ -227,8 +220,8 @@ def combined_estimate(holdings, target_ids) -> dict:
     ``holdings`` is a sequence of ``(local, neighbors)`` per agent: its
     :class:`LocalTargetList` and its dict of :class:`NeighborTargetList`.
     A pair's sources are the local record (if any), then each neighbor
-    record, in ascending neighbor id, lifted as
-    :func:`transform_neighbor_estimate` does.  Only the
+    record, in ascending neighbor id, lifted into the local frame by adding
+    the neighbor's ``rel_mean`` and ``rel_cov``.  Only the
     requested targets are gathered.  Each chain is fused left to right,
     exactly as a loop of :func:`fuse` over its sources; with enough pairs,
     all chains advance together one position at a time through

@@ -325,9 +325,10 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
 
     Noise is drawn directly in the cartesian local frame with the covariance
     the map assigns to the target's true polar position, and that covariance
-    is handed to the tracker alongside the measurement.  ``cov_at(r,
-    bearing)`` gives a table's ``(cov, factor)``; without it the analytic
-    map is used.  Target ids are 1-based (0 is the explore sentinel).
+    is handed to the tracker alongside the measurement, the two as one
+    :class:`GaussianEstimate` of flat float tuples.  ``cov_at(r, bearing)``
+    gives a table's ``(cov, factor)``; without it the analytic map is used.
+    Target ids are 1-based (0 is the explore sentinel).
     """
     cmap = cfg.cov_map() if cov_at is None else None
     out = []
@@ -372,7 +373,8 @@ def deliver_broadcasts(packets, state: WorldState, t: int, cfg: WorldConfig):
     to stay invertible.
 
     ``packets`` maps sender id to BroadcastPacket; returns receiver id ->
-    list of (packet, measurement) pairs.
+    list of (packet, measurement) pairs, each measurement a
+    :class:`GaussianEstimate`.
     """
     rx = {i: [] for i in range(cfg.n_agents)}
     if t % cfg.rx_period != 0:

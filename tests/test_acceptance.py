@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from pherotrack.estimation import GaussianEstimate, fuse, to_flat
+from pherotrack.estimation import GaussianEstimate, fuse
 from pherotrack.harness import (ExperimentSpec, objective_H, run_monte_carlo,
                                 simulate_run)
 from pherotrack.pheromone import (ARGMIN_TOL, PheromoneConfig, PheromoneGrid,
@@ -150,8 +150,9 @@ def test_criterion_6a_fusion_oracle_equivalence():
             m = rng.standard_normal((2, 2))
             covs.append(m @ m.T + 0.01 * np.eye(2))
             means.append(rng.standard_normal(2) * 5)
-        got_mean, got_cov = fuse(*to_flat(GaussianEstimate(means[0], covs[0])),
-                                 *to_flat(GaussianEstimate(means[1], covs[1])))
+        a = GaussianEstimate(means[0], covs[0])
+        b = GaussianEstimate(means[1], covs[1])
+        got_mean, got_cov = fuse(a.mean, a.cov, b.mean, b.cov)
         ia, ib = np.linalg.inv(covs[0]), np.linalg.inv(covs[1])
         cov = np.linalg.inv(ia + ib)
         mean = cov @ (ia @ means[0] + ib @ means[1])

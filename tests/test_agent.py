@@ -8,7 +8,7 @@ from pherotrack import pheromone as ph
 from pherotrack.agent import (KD_THETA, KP_R, KP_THETA, AgentBrain,
                               AgentConfig, pd_control)
 from pherotrack.sensing import wrap_angle
-from pherotrack.estimation import GaussianEstimate, to_flat
+from pherotrack.estimation import GaussianEstimate
 from pherotrack.pheromone import GridGeometry, PheromoneConfig
 from pherotrack.sensing import AnalyticCovMap, SectorFov, sector_polar
 from pherotrack.tracking import TargetRecord, TrackerConfig, update_storage
@@ -87,8 +87,8 @@ def det(tid, mean, var):
 
 
 def record(tid, mean, var):
-    return TargetRecord(tid, *to_flat(GaussianEstimate(mean,
-                                                       var * np.eye(2))))
+    e = GaussianEstimate(mean, var * np.eye(2))
+    return TargetRecord(tid, e.mean, e.cov)
 
 
 def step(brain, dets=(), **kw):

@@ -8,6 +8,7 @@ exact, so it must match the optimum on both.
 import inspect
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from pherotrack.baselines import (LEVY_MU, LEVY_STEP_MIN, Explorer,
                                   VisitedMap, antiflocking_waypoint,
                                   auction_assign, levy_step_length,
                                   levy_waypoint, local_greedy_select)
-from pherotrack.estimation import GaussianEstimate, to_flat
-from pherotrack.tracking import LocalTargetList, TargetRecord
+from pherotrack import baselines
+from pherotrack.estimation import GaussianEstimate, add4, flat_entropy
+from pherotrack.tracking import (LocalTargetList, NeighborTargetList,
+                                 TargetRecord)
 
 
 # -- Levy walk ---------------------------------------------------------------
@@ -134,8 +137,8 @@ def test_explorer_redraws_a_stale_endpoint():
 
 
 def rec(tid, var, mean=(1.0, 0.0)):
-    return TargetRecord(tid, *to_flat(GaussianEstimate(mean,
-                                                       var * np.eye(2))))
+    e = GaussianEstimate(mean, var * np.eye(2))
+    return TargetRecord(tid, e.mean, e.cov)
 
 
 def test_local_greedy_picks_least_uncertain_in_fov():
@@ -234,6 +237,81 @@ def test_auction_sparse_feasible_tables_match_oracle():
         pairing = auction_assign(costs)
         assert assignment_cost(costs, pairing) == brute_force_optimum(costs)
         done += 1
+
+
+def ref_auction_costs(brains, known):
+    """The team auction's cost table as a double loop over brains and
+    targets: the local det, or the cheapest neighbor det lifted by that
+    neighbor's ``rel_cov``; a pair with no view costs the penalty."""
+    costs = np.full((len(brains), len(known)), np.inf)
+    for bi, b in enumerate(brains):
+        for ki, tid in enumerate(known):
+            best = math.inf
+            rec = b.local_targets.records.get(tid)
+            if rec is not None:
+                best = flat_entropy(rec.cov)
+            for nl in b.neighbor_targets.values():
+                nrec = nl.records.get(tid)
+                if nrec is not None:
+                    best = min(best,
+                               flat_entropy(add4(nrec.cov, nl.rel_cov)))
+            costs[bi, ki] = best
+    costs[~np.isfinite(costs)] = 1e6
+    return costs
+
+
+def random_flat(rng):
+    m = rng.standard_normal((2, 2)) * rng.choice([0.1, 1.0, 5.0])
+    c = m @ m.T + rng.choice([1e-3, 0.05]) * np.eye(2)
+    return (tuple(rng.uniform(-10.0, 10.0, 2).tolist()),
+            tuple(c.ravel().tolist()))
+
+
+def test_auction_costs_match_the_double_loop(monkeypatch):
+    tables = []
+
+    def capture(costs):
+        tables.append(costs.copy())
+        return auction_assign(costs)
+
+    monkeypatch.setattr(baselines, "auction_assign", capture)
+    rng = np.random.default_rng(8)
+    n_lifted = n_penalty = 0
+    for _ in range(300):
+        n_agents = int(rng.integers(1, 7))
+        target_ids = list(range(1, int(rng.integers(1, 7)) + 1))
+
+        # Every list draws from the same few targets, so the views overlap.
+        def pick(p):
+            return {t: TargetRecord(t, *random_flat(rng))
+                    for t in target_ids if rng.random() < p}
+
+        brains = []
+        for a in range(n_agents):
+            neighbors = {nid: NeighborTargetList(pick(0.6), *random_flat(rng))
+                         for nid in range(n_agents)
+                         if nid != a and rng.random() < 0.7}
+            brains.append(SimpleNamespace(
+                local_targets=LocalTargetList(pick(0.4)),
+                neighbor_targets=neighbors))
+        known = sorted(
+            {t for b in brains for t in b.local_targets.records}
+            | {t for b in brains for nl in b.neighbor_targets.values()
+               for t in nl.records})
+        if not known:
+            continue
+        tables.clear()
+        baselines._team_auction(brains, known, {})
+        want = ref_auction_costs(brains, known)
+        assert len(tables) == 1
+        assert tables[0].tobytes() == want.tobytes()
+        n_penalty += int((want == 1e6).sum())
+        for bi, b in enumerate(brains):
+            for ki, tid in enumerate(known):
+                rec = b.local_targets.records.get(tid)
+                n_lifted += rec is not None and \
+                    want[bi, ki] < flat_entropy(rec.cov)
+    assert n_lifted > 50 and n_penalty > 50
 
 
 # -- anti-flocking -----------------------------------------------------------

@@ -5,14 +5,16 @@ numpy.linalg.inv on stacked matrices; the library must match it to 1e-9
 over a large randomized sample of well-conditioned inputs.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from pherotrack.estimation import (EPS_INV, GaussianEstimate,
                                    SingularCovarianceError, _inv_entries,
-                                   entropy, flat_entropy, fuse, fuse_stacked,
-                                   inv2, propagate, to_flat)
-from pherotrack.sensing import CalibrationTable
+                                   entropy, flat_entropy, fuse,
+                                   fuse_informed, info_form, inv2, propagate)
+from pherotrack.sensing import CalibrationTable, interpolate_cov
 
 
 def random_pd(rng, floor=0.01):
@@ -30,7 +32,13 @@ def naive_fuse(a_mean, a_cov, b_mean, b_cov):
 
 def flat(mean, cov):
     """A flat (mean, cov) pair, as the tracker holds estimates."""
-    return to_flat(GaussianEstimate(mean, cov))
+    e = GaussianEstimate(mean, cov)
+    return e.mean, e.cov
+
+
+def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
+    """:func:`fuse` row by row on stacks (K, 2) and (K, 2, 2)."""
+    return fuse_informed(a_mean, a_cov, *info_form(b_mean, b_cov))
 
 
 def test_fusion_matches_naive_oracle_on_random_pairs():
@@ -151,15 +159,70 @@ def test_check_cov_validation():
         CalibrationTable(one, [[1.0, 0.0], [0.0, -1.0]])      # indefinite
 
 
-def test_estimate_converts_only_what_is_not_float64_of_its_shape():
-    m, c = np.array([1.0, 2.0]), np.eye(2)
-    e = GaussianEstimate(m, c)
-    assert e.mean is m and e.cov is c
-    for mean, cov in (([1, 2], [[1, 0], [0, 1]]),
-                      (np.array([[1.0, 2.0]]), np.eye(2).ravel()),
-                      (np.array([1.0, 2.0], dtype=np.float32), c)):
-        e = GaussianEstimate(mean, cov)
-        assert e.mean.dtype == np.float64 and e.mean.shape == (2,)
-        assert e.cov.dtype == np.float64 and e.cov.shape == (2, 2)
-        assert np.array_equal(e.mean, [1.0, 2.0])
-        assert np.array_equal(e.cov, np.eye(2))
+# -- the measurement form against the array estimate it replaced --------------
+#
+# An estimate used to hold numpy arrays, converted only where they were not
+# float64 of their shape, and the tracker turned each into flat tuples with
+# ``to_flat``.  Both are kept here, verbatim, as the reference.
+
+_F64 = np.dtype(float)
+
+
+@dataclass
+class ArrayEstimate:
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        m, c = self.mean, self.cov
+        if not (type(m) is np.ndarray and m.dtype is _F64
+                and m.shape == (2,)):
+            self.mean = np.asarray(m, dtype=float).reshape(2)
+        if not (type(c) is np.ndarray and c.dtype is _F64
+                and c.shape == (2, 2)):
+            self.cov = np.asarray(c, dtype=float).reshape(2, 2)
+
+
+def to_flat(e):
+    (c00, c01), (c10, c11) = e.cov.tolist()
+    return tuple(e.mean.tolist()), (c00, c01, c10, c11)
+
+
+def hexes(xs):
+    assert all(type(x) is float for x in xs)
+    return [x.hex() for x in xs]
+
+
+def test_estimate_tuples_match_the_array_estimate_bit_for_bit():
+    rng = np.random.default_rng(37)
+    covs = np.array([random_pd(rng) for _ in range(16)])
+    covs[::3, 0, 1] = covs[::3, 1, 0] = -0.0
+    table = CalibrationTable(rng.uniform([0.5, -1.0], [4.0, 1.0], (16, 2)),
+                             covs)
+    kinds, n_neg_zero = set(), 0
+    for _ in range(3000):
+        mean = rng.standard_normal(2) * 10.0
+        cov = random_pd(rng, floor=rng.choice([1e-3, 1.0]))
+        if rng.random() < 0.3:
+            mean[int(rng.integers(2))] = rng.choice([0.0, -0.0])
+        if rng.random() < 0.3:
+            cov[0, 1] = cov[1, 0] = rng.choice([0.0, -0.0])
+        kind = int(rng.integers(5))
+        kinds.add(kind)
+        if kind == 1:      # a read-only calibration-table view
+            cov = interpolate_cov(table, *rng.uniform([0.5, -1.0],
+                                                      [4.0, 1.0]))[0]
+            assert not cov.flags.writeable
+        elif kind == 2:    # lists
+            mean, cov = mean.tolist(), cov.tolist()
+        elif kind == 3:    # a row and a flat covariance
+            mean, cov = mean[None], cov.ravel()
+        elif kind == 4:    # float32, widened
+            mean = mean.astype(np.float32)
+        got = GaussianEstimate(mean, cov)
+        want = to_flat(ArrayEstimate(mean, cov))
+        assert type(got.mean) is tuple and type(got.cov) is tuple
+        assert hexes(got.mean) == hexes(want[0])
+        assert hexes(got.cov) == hexes(want[1])
+        n_neg_zero += hexes(got.mean + got.cov).count((-0.0).hex())
+    assert kinds == set(range(5)) and n_neg_zero > 300

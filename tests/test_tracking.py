@@ -7,11 +7,12 @@ import pytest
 
 from pherotrack.estimation import (EYE2, GaussianEstimate,
                                    SingularCovarianceError, entropy,
-                                   flat_entropy, fuse, fuse_stacked, to_flat)
+                                   flat_entropy, fuse, fuse_informed,
+                                   info_form)
 from pherotrack.tracking import (LocalTargetList, NeighborTargetList,
                                  TargetRecord, TrackerConfig,
                                  combined_estimate, select_target,
-                                 transform_neighbor_estimate, update_storage)
+                                 update_storage)
 
 
 def cfg(**kw):
@@ -24,35 +25,64 @@ def est(mean, var):
     return GaussianEstimate(mean, var * np.eye(2))
 
 
+def flat(e):
+    """The flat (mean, cov) pair of an estimate of either kind."""
+    e = GaussianEstimate(e.mean, e.cov)
+    return e.mean, e.cov
+
+
 def record(tid, mean, var, step=0):
-    return TargetRecord(tid, *to_flat(est(mean, var)), step)
+    return TargetRecord(tid, *flat(est(mean, var)), step)
 
 
 def neighbor(records, rel):
-    return NeighborTargetList(records, *to_flat(rel))
+    return NeighborTargetList(records, *flat(rel))
 
 
-def copied(e):
-    """An estimate of fresh copies of ``e``'s arrays."""
-    return GaussianEstimate(e.mean.copy(), e.cov.copy())
+# The array oracles: an estimate as numpy arrays (2,) and (2, 2), with
+# fusion through the stacked kernel, prediction and the neighbor-frame lift
+# as array sums.
+
+
+@dataclass
+class ArrayEstimate:
+    mean: np.ndarray
+    cov: np.ndarray
 
 
 def arrays(mean, cov):
-    """A flat (mean, cov) pair as an estimate of fresh arrays."""
-    return GaussianEstimate(np.array(mean), np.array(cov).reshape(2, 2))
+    """An array estimate of fresh float64 copies."""
+    return ArrayEstimate(np.array(mean, dtype=float),
+                         np.array(cov, dtype=float).reshape(2, 2))
+
+
+def copied(e):
+    """An array estimate of fresh copies of ``e``'s mean and cov."""
+    return arrays(e.mean, e.cov)
 
 
 def array_fuse(a, b):
     """:func:`fuse` of two array estimates, through the stacked kernel."""
     mean, cov = fuse_stacked(a.mean[None], a.cov[None], b.mean[None],
                              b.cov[None])
-    return GaussianEstimate(mean[0], cov[0])
+    return ArrayEstimate(mean[0], cov[0])
+
+
+def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
+    """:func:`fuse` row by row on stacks (K, 2) and (K, 2, 2)."""
+    return fuse_informed(a_mean, a_cov, *info_form(b_mean, b_cov))
 
 
 def array_propagate(e, shift, growth):
     """:func:`propagate` of an array estimate."""
-    return GaussianEstimate(e.mean + np.asarray(shift, dtype=float),
-                            e.cov + np.asarray(growth, dtype=float))
+    return ArrayEstimate(e.mean + np.asarray(shift, dtype=float),
+                         e.cov + np.asarray(growth, dtype=float))
+
+
+def transform_neighbor_estimate(e, neighbor):
+    """Lift a neighbor-frame array estimate into the local frame: the
+    neighbor's position and its uncertainty add on."""
+    return ArrayEstimate(e.mean + neighbor.mean, e.cov + neighbor.cov)
 
 
 def test_new_detection_creates_record():
@@ -80,12 +110,13 @@ def test_redetection_fuses_and_matches_manual_oracle():
     prior = est([2.0, 0.0], 0.1)
     meas = est([2.2, 0.1], 0.05)
     local = LocalTargetList()
-    local.records[1] = TargetRecord(1, *to_flat(prior))
-    update_storage(local, {}, [(1, copied(meas))], [], [0.1, 0.0],
+    local.records[1] = TargetRecord(1, *flat(prior))
+    update_storage(local, {}, [(1, meas)], [], [0.1, 0.0],
                    np.zeros((2, 2)), c, step=9)
-    want = array_fuse(array_propagate(prior, [0.1, 0.0], c.q_bar), meas)
+    want = array_fuse(array_propagate(copied(prior), [0.1, 0.0], c.q_bar),
+                      copied(meas))
     got = local.records[1]
-    assert (got.mean, got.cov) == to_flat(want)
+    assert (got.mean, got.cov) == flat(want)
     assert got.last_update_step == 9
 
 
@@ -103,11 +134,11 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     neighbors = {}
     records = [record(3, [1.0, 1.0], 0.2)]
     rel = est([5.0, 0.0], 0.5)
-    update_storage(local, neighbors, [], [(2, records, copied(rel))],
+    update_storage(local, neighbors, [], [(2, records, rel)],
                    np.zeros(2), np.zeros((2, 2)), c, step=1)
     nl = neighbors[2]
     assert set(nl.records) == {3}
-    assert (nl.rel_mean, nl.rel_cov) == to_flat(rel)  # first packet: adopted
+    assert (nl.rel_mean, nl.rel_cov) == flat(rel)  # first packet: adopted
     # The ingested copy is a record of its own that shares the sender's
     # float tuples; changing it the way holders do, by rebinding, must not
     # touch the sender's record.
@@ -124,11 +155,12 @@ def test_packet_ingestion_replaces_records_and_fuses_rel_pos():
     # Second packet: predicted rel_pos fused with the fresh measurement.
     rel2 = est([5.5, 0.0], 0.5)
     prev = arrays(nl.rel_mean, nl.rel_cov)
-    update_storage(local, neighbors, [], [(2, records, copied(rel2))],
+    update_storage(local, neighbors, [], [(2, records, rel2)],
                    np.zeros(2), np.zeros((2, 2)), c, step=2)
     growth = np.zeros((2, 2)) + c.motion_var * np.eye(2)
-    want = array_fuse(array_propagate(prev, np.zeros(2), growth), rel2)
-    assert (nl.rel_mean, nl.rel_cov) == to_flat(want)
+    want = array_fuse(array_propagate(prev, np.zeros(2), growth),
+                      copied(rel2))
+    assert (nl.rel_mean, nl.rel_cov) == flat(want)
 
 
 def test_silent_neighbor_dead_reckoned_and_inflated():
@@ -164,7 +196,7 @@ def test_every_neighbor_list_has_a_position_from_its_first_packet():
         for sender, _, rel in rx:
             if sender not in known:
                 nl = neighbors[sender]
-                assert (nl.rel_mean, nl.rel_cov) == to_flat(rel)
+                assert (nl.rel_mean, nl.rel_cov) == flat(rel)
                 n_new += 1
         for nl in neighbors.values():
             assert type(nl.rel_mean) is tuple and len(nl.rel_mean) == 2
@@ -173,8 +205,8 @@ def test_every_neighbor_list_has_a_position_from_its_first_packet():
 
 
 def test_transform_neighbor_estimate_adds_mean_and_cov():
-    lifted = transform_neighbor_estimate(est([1.0, 1.0], 0.2),
-                                         est([5.0, 0.0], 0.5))
+    lifted = transform_neighbor_estimate(copied(est([1.0, 1.0], 0.2)),
+                                         copied(est([5.0, 0.0], 0.5)))
     assert np.allclose(lifted.mean, [6.0, 1.0])
     assert np.allclose(lifted.cov, 0.7 * np.eye(2))
 
@@ -289,8 +321,9 @@ def test_combined_estimate_matches_manual_fusion():
     rel = est([0.4, -0.4], 0.1)
     nl = neighbor({4: record(4, [0.5, 0.5], 0.3)}, rel)
     got = combined_estimate([(local, {2: nl})], [4])[(0, 4)]
-    lifted = transform_neighbor_estimate(est([0.5, 0.5], 0.3), rel)
-    want = fuse(*to_flat(est([1.0, 0.0], 0.2)), *to_flat(lifted))
+    lifted = transform_neighbor_estimate(copied(est([0.5, 0.5], 0.3)),
+                                         copied(rel))
+    want = fuse(*flat(est([1.0, 0.0], 0.2)), *flat(lifted))
     assert got == want
     assert flat_entropy(got[1]) <= entropy(0.2 * np.eye(2))
 
@@ -318,13 +351,13 @@ def _random_holdings(rng, n_agents, target_ids):
     holdings = []
     for a in range(1, n_agents + 1):
         local = LocalTargetList({
-            t: TargetRecord(t, *to_flat(_random_estimate(rng)))
+            t: TargetRecord(t, *flat(_random_estimate(rng)))
             for t in target_ids if rng.random() < 0.5})
         neighbors = {}
         for nid in rng.permutation(np.arange(1, n_agents + 1)).tolist():
             if nid == a or rng.random() < 0.3:
                 continue
-            records = {t: TargetRecord(t, *to_flat(_random_estimate(rng)))
+            records = {t: TargetRecord(t, *flat(_random_estimate(rng)))
                        for t in target_ids if rng.random() < 0.6}
             neighbors[nid] = neighbor(records, _random_estimate(rng))
         holdings.append((local, neighbors))
@@ -384,7 +417,7 @@ def test_combined_estimate_singular_covariance_raises():
 
 # -- float records against the array records they replaced -------------------
 #
-# Records used to hold a GaussianEstimate of numpy arrays.  The reference
+# Records used to hold an estimate of numpy arrays.  The reference
 # implementations below are the storage round, the selection and the
 # combined estimate as they were on those records, kept verbatim but for
 # fusion and prediction, which run on arrays through ``array_fuse`` and
@@ -394,12 +427,12 @@ def test_combined_estimate_singular_covariance_raises():
 @dataclass
 class RefRecord:
     target_id: int
-    estimate: GaussianEstimate
+    estimate: ArrayEstimate
     last_update_step: int = 0
 
     def copy(self):
         est = self.estimate
-        return RefRecord(self.target_id, GaussianEstimate(est.mean, est.cov),
+        return RefRecord(self.target_id, ArrayEstimate(est.mean, est.cov),
                          self.last_update_step)
 
 
@@ -407,7 +440,7 @@ class RefRecord:
 class RefNeighbor:
     neighbor_id: int
     records: dict = field(default_factory=dict)
-    rel_pos: GaussianEstimate | None = None
+    rel_pos: ArrayEstimate | None = None
     last_rx_step: int = -1
 
 
@@ -555,7 +588,7 @@ def ref_combined_estimate(holdings, target_ids):
                                          src_mean[start:start + n],
                                          src_cov[start:start + n])
         start += n
-    return {key: GaussianEstimate(mean[r], cov[r])
+    return {key: ArrayEstimate(mean[r], cov[r])
             for r, key in enumerate(keys)}
 
 
@@ -679,7 +712,7 @@ def test_storage_round_bit_identical_to_array_records():
                 recs = _spec_records(rng, target_ids, 0.6, pool, step)
                 rel = arrays(_spec_mean(rng), _spec_cov(rng, pool))
                 rx_new.append((sender, list(_build(recs, True).values()),
-                               rel))
+                               GaussianEstimate(rel.mean, rel.cov)))
                 rx_ref.append((sender, list(_build(recs, False).values()),
                                rel))
             n_fused += sum(t in new[0].records for t, _ in dets)
@@ -687,8 +720,9 @@ def test_storage_round_bit_identical_to_array_records():
                 + len(new[0].records)
             n_ties += sum(entropy(r.estimate.cov) == sigma_bar
                           for r in ref[0].records.values())
-            update_storage(*new, dets, rx_new, shift, sigma, c,
-                           step=step + rnd)
+            update_storage(*new, [(t, GaussianEstimate(e.mean, e.cov))
+                                  for t, e in dets],
+                           rx_new, shift, sigma, c, step=step + rnd)
             ref_update_storage(*ref, dets, rx_ref, shift, sigma, c,
                                step=step + rnd)
             after = sum(len(nl.records) for nl in new[1].values()) \

@@ -337,9 +337,9 @@ def test_one_sector_rule_for_every_caller():
             # Noise-free, the detection is the true point, with the
             # covariance the map gives at the helper's (r, bearing).
             r, bearing = polar
-            assert dets[0][1].mean.tolist() == [x, y]
+            assert dets[0][1].mean == (x, y)
             var = max(cmap.eta(r, bearing), cmap.eta_floor)
-            assert dets[0][1].cov.tolist() == [[var, 0.0], [0.0, var]]
+            assert dets[0][1].cov == (var, 0.0, 0.0, var)
 
 
 def test_sense_targets_noise_free_measurement():
@@ -352,7 +352,7 @@ def test_sense_targets_noise_free_measurement():
     assert tid == 1                                     # ids are 1-based
     assert np.allclose(est.mean, [2.0, 0.0])
     # r = r_bar exactly: the covariance sits at the floor.
-    assert np.allclose(est.cov, cfg.eta_floor * np.eye(2))
+    assert np.allclose(est.cov, cfg.eta_floor * np.eye(2).ravel())
     place(state, [[5.0, 5.0]], [0.0], [[1.0, 5.0]])
     assert sense_targets(state, 0, cfg) == []
 
@@ -362,7 +362,7 @@ def test_sense_targets_covariance_tracks_range():
     state = quiet_state(cfg)
     place(state, [[5.0, 5.0]], [0.0], [[8.5, 5.0]])     # r = 3.5
     _, est = sense_targets(state, 0, cfg)[0]
-    assert np.allclose(est.cov, (3.5 - 2.0) ** 2 * np.eye(2))
+    assert np.allclose(est.cov, (3.5 - 2.0) ** 2 * np.eye(2).ravel())
 
 
 def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
@@ -390,8 +390,8 @@ def test_analytic_noise_shortcut_matches_cholesky_bit_for_bit():
             want = sense_targets(slow, agent, cfg, general)
             assert [t for t, _ in got] == [t for t, _ in want]
             for (_, a), (_, b) in zip(got, want):
-                assert a.mean.tobytes() == b.mean.tobytes()
-                assert a.cov.tobytes() == b.cov.tobytes()
+                assert [x.hex() for x in a.mean + a.cov] == \
+                    [x.hex() for x in b.mean + b.cov]
             seen += len(got)
     assert seen > 20
 
@@ -432,7 +432,8 @@ def test_broadcasts_follow_schedule_and_radius():
     # Beside each packet, a receiver-side measurement of the sender.
     meas = rx[0][0][1]
     assert np.allclose(meas.mean, [5.0, 0.0])
-    assert np.allclose(meas.cov, max(cfg.k_p * 5.0, cfg.eta_floor) * np.eye(2))
+    var = max(cfg.k_p * 5.0, cfg.eta_floor)
+    assert np.allclose(meas.cov, var * np.eye(2).ravel())
     assert np.allclose(rx[2][0][1].mean, [-10.0, 0.0])
 
 
