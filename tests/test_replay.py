@@ -5,8 +5,8 @@ the exact float hex of the H series, the n_tracked series and
 ``time_to_track``, so any change in a single output bit fails the test.  The
 cases cover every search x assign pair the CLI accepts, the hardware-table
 preset (calibration-table sensing), the odometry-noise path (sim-2d with
-``r_dp = 1e-3 I``, which diffuses every deposit) and correlated odometry
-noise.
+``r_dp = 1e-3 I``, which diffuses every deposit), correlated odometry noise
+and correlated target motion.
 
 A change that is meant to alter the simulation re-records the digests (both
 tables below) with
@@ -60,6 +60,13 @@ CASES = {
         lambda: sim_2d_preset(domain=(16.0, 16.0), n_agents=4, n_targets=3,
                               r_dp=((2e-3, 1.5e-3), (1.5e-3, 2e-3))),
         "levy", "greedy-distributed", PAIR_STEPS),
+    # Correlated target motion makes the motion draw, every local record and
+    # every record fusion non-diagonal.
+    "pheromone/correlated-motion": (
+        lambda: sim_2d_preset(domain=(16.0, 16.0), n_agents=4, n_targets=3,
+                              q_k=((0.002, 0.0008), (0.0008, 0.001)),
+                              q_bar=((0.003, 0.001), (0.001, 0.002))),
+        "pheromone", "greedy-distributed", PAIR_STEPS),
 }
 
 GOLDEN = {
@@ -75,6 +82,7 @@ GOLDEN = {
     "hardware-table": ("113b702d056add50", "94414d8c05be9118"),
     "sim2d-odometry": ("daaf5693712ccf65", "72ea7933709ae613"),
     "levy/correlated-odometry": ("37f1ade69b66a5bd", "8860aab6f3d98423"),
+    "pheromone/correlated-motion": ("27068408493a46b7", "f6e6044d77b37f63"),
 }
 
 FILE_GOLDEN = {
