@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pheromone as ph
 from .baselines import local_greedy_select
-from .estimation import add2, add4, flat_entropy, scaled_eye
+from .estimation import add2, add4, flat_entropy, matvec2, scaled_eye
 from .sensing import (AnalyticCovMap, CalibrationTable, SectorFov,
                       best_viewpoint, rot2, sector_polar, wrap_angle)
 from .tracking import (LocalTargetList, TrackerConfig, combined_estimate,
@@ -126,7 +126,7 @@ class AgentBrain:
     own_pheromones: np.ndarray = field(default_factory=ph.no_deposits)
     neighbor_pheromones: dict = field(default_factory=dict)  # id -> rows
     carried: tuple | None = None    # (waypoint, stored weight) while exploring
-    prev_face_body: np.ndarray | None = None
+    prev_face_body: tuple | None = None
     step_count: int = 0
 
     def snapshot_packet(self) -> BroadcastPacket:
@@ -347,8 +347,7 @@ class AgentBrain:
                 waypoint = np.zeros(2)
             else:
                 los = math.atan2(goal[1], goal[0]) if d > 1e-9 else heading
-                viewpoint = rot2(los) @ cfg.viewpoint
-                waypoint = goal - viewpoint
+                waypoint = goal - matvec2(rot2(los), cfg.viewpoint.tolist())
             face = goal
             self.carried = None
         else:
@@ -357,8 +356,8 @@ class AgentBrain:
             face = waypoint
 
         to_body = rot2(-heading)
-        waypoint_body = to_body @ waypoint
-        face_body = to_body @ face
+        waypoint_body = matvec2(to_body, waypoint.tolist())
+        face_body = matvec2(to_body, face.tolist())
         control = pd_control(waypoint_body, self.prev_face_body,
                              cfg.u_max, face_body)
         self.prev_face_body = face_body

@@ -50,26 +50,62 @@ class GaussianEstimate:
 # The 2x2 kernels below work on the four entries of a matrix.  The entries
 # are Python floats for a single matrix, which skips numpy's per-call
 # overhead, or arrays for a stack of matrices.  +, -, *, / and sqrt round
-# identically either way, so both give the same bits.  Matrix-vector
-# products always go through np.matmul, whose summation order differs from
-# a plain a*x + b*y.
+# identically either way, so both give the same bits.  A single matrix times
+# a vector goes through :func:`matvec2`, which rounds each row as one fused
+# multiply-add, the rule numpy's matmul follows with its OpenBLAS; a plain
+# a*x + b*y rounds twice and differs in the last bit on about a quarter of
+# rows.
+
+# Dekker's splitting constant, 2**27 + 1: it cuts a float into two halves
+# whose products are exact.
+_SPLIT = 134217729.0
 
 
-def _min_eig(c00, c01, c10, c11):
-    # Smallest eigenvalue of a symmetric 2x2 without calling eigvalsh.
+def _fma(a, x, q):
+    # a*x + q rounded once: the product's rounding error is split off
+    # exactly, then fsum rounds the three-term sum correctly.  A zero sum is
+    # +0.0, as fsum gives it and as numpy's gemv, which adds each row into a
+    # zeroed output, leaves it.
+    p = a * x
+    if q == 0.0:
+        return 0.0 + (p + q)
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * x
+    xh = t - (t - x)
+    al, xl = a - ah, x - xh
+    err = ((ah * xh - p) + ah * xl + al * xh) + al * xl
+    return math.fsum((p, err, q))
+
+
+def matvec2(m, v):
+    """Flat 2x2 ``m = (a, b, c, d)`` times ``v = (x, y)``, as a tuple.
+
+    Each row is ``fma(a, x, b*y)``: the second product rounded, then added
+    to the exact first one with a single rounding; a zero row is +0.0.
+    These are the bits ``np.matmul`` gives for one 2x2 matrix and vector
+    with the OpenBLAS (Haswell gemv kernel) that numpy ships, computed
+    without numpy, so they no longer depend on which kernel numpy
+    dispatches.  Exact for finite entries below 2**995 in magnitude (the
+    split must not overflow) whose nonzero products a*x are at least
+    2**-969 (their rounding error must itself be a float).
+    """
+    a, b, c, d = m
+    x, y = v
+    return _fma(a, x, b * y), _fma(c, x, d * y)
+
+
+_SINGULAR = f"covariance with min eigenvalue <= {EPS_INV} cannot be inverted"
+
+
+def _checked_inverse(c00, c01, c10, c11):
+    # The inverse's entries, once the smallest eigenvalue (of a symmetric
+    # 2x2, without eigvalsh) clears EPS_INV.
     half_tr = 0.5 * (c00 + c11)
     det = c00 * c11 - c01 * c10
-    disc = half_tr * half_tr - det
-    if isinstance(disc, np.ndarray):
-        return half_tr - np.sqrt(np.maximum(disc, 0.0))
-    return half_tr - math.sqrt(max(disc, 0.0))
-
-
-def _check_invertible(c00, c01, c10, c11):
-    bad = _min_eig(c00, c01, c10, c11) <= EPS_INV
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
-        raise SingularCovarianceError(
-            f"covariance with min eigenvalue <= {EPS_INV} cannot be inverted")
+    if half_tr - math.sqrt(max(half_tr * half_tr - det, 0.0)) <= EPS_INV:
+        raise SingularCovarianceError(_SINGULAR)
+    return c11 / det, -c01 / det, -c10 / det, c00 / det
 
 
 def _inv_entries(c00, c01, c10, c11):
@@ -90,10 +126,15 @@ def inv2(c, check=True):
     c = np.asarray(c, dtype=float)
     entries = c.reshape(-1, 4).T
     if check:
-        _check_invertible(*entries)
+        # _checked_inverse's test, one array pass over the stack.
+        c00, c01, c10, c11 = entries
+        half_tr = 0.5 * (c00 + c11)
+        det = c00 * c11 - c01 * c10
+        min_eig = half_tr - np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
+        if (min_eig <= EPS_INV).any():
+            raise SingularCovarianceError(_SINGULAR)
     # Written through the transpose of a C-contiguous buffer, so the result
-    # is C-contiguous: np.matmul picks its kernel, and so its rounding, by
-    # memory layout.
+    # is C-contiguous.
     out = np.empty((len(entries[0]), 4))
     rows = out.T
     rows[0], rows[1], rows[2], rows[3] = _inv_entries(*entries)
@@ -109,38 +150,10 @@ def fuse(a_mean, a_cov, b_mean, b_cov):
 
     The result's determinant never exceeds that of either input.
     """
-    _check_invertible(*a_cov)
-    ia = _inv_entries(*a_cov)
-    _check_invertible(*b_cov)
-    ib = _inv_entries(*b_cov)
-    cov = _inv_entries(ia[0] + ib[0], ia[1] + ib[1],
-                       ia[2] + ib[2], ia[3] + ib[3])
-    info = (np.array(((ia[0], ia[1]), (ia[2], ia[3]))) @ np.array(a_mean)
-            + np.array(((ib[0], ib[1]), (ib[2], ib[3]))) @ np.array(b_mean))
-    mean = np.array(((cov[0], cov[1]), (cov[2], cov[3]))) @ info
-    return tuple(mean.tolist()), cov
-
-
-def info_form(mean, cov):
-    """Inverse covariances and information vectors (K, 2, 1) of a stack.
-
-    Row by row these do not depend on the rest of the stack, so the second
-    operands of many :func:`fuse_informed` calls can be formed in one go.
-    """
-    inv = inv2(cov)
-    return inv, np.matmul(inv, mean[..., None])
-
-
-def fuse_informed(a_mean, a_cov, ib, ib_b):
-    """:func:`fuse` applied row by row to stacks (K, 2) and (K, 2, 2), with
-    the second operand in :func:`info_form`.
-
-    Returns the fused (means, covs); every row has the bits :func:`fuse`
-    gives for that pair.
-    """
-    ia, ia_a = info_form(a_mean, a_cov)
-    cov = inv2(ia + ib, check=False)
-    return np.matmul(cov, ia_a + ib_b)[..., 0], cov
+    ia = _checked_inverse(*a_cov)
+    ib = _checked_inverse(*b_cov)
+    cov = _inv_entries(*add4(ia, ib))
+    return matvec2(cov, add2(matvec2(ia, a_mean), matvec2(ib, b_mean))), cov
 
 
 def entropy(cov) -> float:

@@ -26,8 +26,9 @@ def wrap_angle(a):
 
 
 def rot2(theta):
+    """Flat rotation matrix ``(c, -s, s, c)`` for :func:`matvec2`."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return (c, -s, s, c)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Holds the local target list, the per-neighbor target lists (kept in each
 neighbor's frame), the storage update rule, each agent's cheapest view of
-every target, the two-phase distributed-greedy target selection, and batched
+every target, the two-phase distributed-greedy target selection, and
 combined-estimate fusion.
 """
 
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (add2, add4, flat_entropy, fuse, fuse_informed,
-                         info_form, propagate, scaled_eye)
+from .estimation import (add2, add4, flat_entropy, fuse, propagate,
+                         scaled_eye)
 
 
 @dataclass(slots=True, eq=False)
@@ -150,8 +150,16 @@ def cheapest_views(local: LocalTargetList, neighbors: dict) -> dict:
     ``rel_cov``, whichever is lower.  Returns ``{target id: det}``.
     """
     views = {tid: flat_entropy(rec.cov) for tid, rec in local.records.items()}
+    return _lift_views(views, neighbors, ())
+
+
+def _lift_views(views, neighbors, skip):
+    # Lower ``views`` to each neighbor record's lifted det where that is
+    # lower; targets in ``skip`` are left out.
     for nlist in neighbors.values():
         for tid, rec in nlist.records.items():
+            if tid in skip:
+                continue
             h = flat_entropy(add4(rec.cov, nlist.rel_cov))
             if h < views.get(tid, math.inf):
                 views[tid] = h
@@ -188,6 +196,8 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
             if best is None or d < best[0]:
                 sharpest[tid] = (d, aid)
         table.append((aid, dets))
+        if aid == self_id:
+            own_dets = dets
 
     claimed = {}
     for aid, dets in table:
@@ -200,32 +210,23 @@ def select_target(self_id: int, local: LocalTargetList, neighbors: dict) -> int:
         if aid == self_id:
             return tid
 
-    # Phase 2: the cheapest unclaimed view.
-    best = None
-    for tid, h in cheapest_views(local, neighbors).items():
-        if tid not in claimed and (best is None or (h, tid) < best):
-            best = (h, tid)
-    return best[1] if best else 0
-
-
-# Below this many pairs numpy's per-call overhead outweighs batching, and
-# the chains are fused one pair at a time instead.
-_STACK_MIN_PAIRS = 4
+    # Phase 2: the cheapest unclaimed view, from the phase-1 local dets.
+    views = {tid: d for tid, d in own_dets.items() if tid not in claimed}
+    views = _lift_views(views, neighbors, claimed)
+    return min((h, tid) for tid, h in views.items())[1] if views else 0
 
 
 def combined_estimate(holdings, target_ids) -> dict:
     """Fuse every view of each (agent, target) pair into one local-frame
-    estimate, for all pairs at once.
+    estimate.
 
     ``holdings`` is a sequence of ``(local, neighbors)`` per agent: its
     :class:`LocalTargetList` and its dict of :class:`NeighborTargetList`.
     A pair's sources are the local record (if any), then each neighbor
     record, in ascending neighbor id, lifted into the local frame by adding
-    the neighbor's ``rel_mean`` and ``rel_cov``.  Only the
-    requested targets are gathered.  Each chain is fused left to right,
-    exactly as a loop of :func:`fuse` over its sources; with enough pairs,
-    all chains advance together one position at a time through
-    :func:`~pherotrack.estimation.fuse_informed`, which gives the same bits.
+    the neighbor's ``rel_mean`` and ``rel_cov``.  Only the requested targets
+    are gathered.  Each chain is fused left to right with :func:`fuse`, one
+    pair at a time.
 
     Returns ``{(index into holdings, target id): (mean, cov)}`` as flat
     tuples; pairs with no source are absent.
@@ -233,60 +234,19 @@ def combined_estimate(holdings, target_ids) -> dict:
     Raises:
         SingularCovarianceError: if a fused covariance cannot be inverted.
     """
-    chains = {}
+    out = {}
     for a, (local, neighbors) in enumerate(holdings):
         ordered = [neighbors[nid] for nid in sorted(neighbors)]
         for tid in target_ids:
             rec = local.records.get(tid)
-            chain = [] if rec is None else [(rec.mean, rec.cov)]
+            est = None if rec is None else (rec.mean, rec.cov)
             for nlist in ordered:
                 rec = nlist.records.get(tid)
-                if rec is not None:
-                    chain.append((add2(rec.mean, nlist.rel_mean),
-                                  add4(rec.cov, nlist.rel_cov)))
-            if chain:
-                chains[(a, tid)] = chain
-    if len(chains) < _STACK_MIN_PAIRS:
-        return {key: _fuse_chain(chain) for key, chain in chains.items()}
-    return _fuse_chains_stacked(chains)
-
-
-def _fuse_chain(chain):
-    mean, cov = chain[0]
-    for source in chain[1:]:
-        mean, cov = fuse(mean, cov, *source)
-    return mean, cov
-
-
-def _fuse_chains_stacked(chains):
-    # Longest chains first, and sources laid out position-major: the pairs
-    # still fusing at chain position j are a prefix, and their j-th sources
-    # one contiguous block.
-    keys = sorted(chains, key=lambda k: -len(chains[k]))
-    means, covs, blocks = [], [], []
-    n_active = len(keys)
-    for j in range(len(chains[keys[0]])):
-        while len(chains[keys[n_active - 1]]) <= j:
-            n_active -= 1
-        blocks.append(n_active)
-        for key in keys[:n_active]:
-            mean, cov = chains[key][j]
-            means.append(mean)
-            covs.append(cov)
-    src_mean = np.array(means)
-    src_cov = np.array(covs).reshape(-1, 2, 2)
-
-    # The running estimates overwrite the first block in place; every later
-    # block is a second operand, put in information form all at once.
-    mean, cov = src_mean[:len(keys)], src_cov[:len(keys)]
-    if len(blocks) > 1:
-        ib, ib_b = info_form(src_mean[len(keys):], src_cov[len(keys):])
-        start = 0
-        for n in blocks[1:]:
-            stop = start + n
-            mean[:n], cov[:n] = fuse_informed(mean[:n], cov[:n],
-                                              ib[start:stop], ib_b[start:stop])
-            start = stop
-    return {key: (tuple(m), tuple(c)) for key, m, c in
-            zip(keys, mean.tolist(), cov.reshape(-1, 4).tolist())}
-
+                if rec is None:
+                    continue
+                lifted = (add2(rec.mean, nlist.rel_mean),
+                          add4(rec.cov, nlist.rel_cov))
+                est = lifted if est is None else fuse(*est, *lifted)
+            if est is not None:
+                out[(a, tid)] = est
+    return out

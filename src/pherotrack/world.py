@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .estimation import EPS_INV, EYE2, GaussianEstimate
+from .estimation import EPS_INV, EYE2, GaussianEstimate, matvec2
 from .sensing import (AnalyticCovMap, SectorFov, best_viewpoint,
                       load_calibration_csv, sector_polar,
                       synthetic_calibration_table, wrap_angle)
@@ -310,9 +310,10 @@ def step_dynamics(state: WorldState, inputs, cfg: WorldConfig) -> WorldState:
     np.clip(state.agent_pos[:, 0], 0.0, w, out=state.agent_pos[:, 0])
     np.clip(state.agent_pos[:, 1], 0.0, h, out=state.agent_pos[:, 1])
 
-    chol = state.q_chol
+    chol = state.q_chol.ravel().tolist()
     for k in range(len(state.target_pos)):
-        noise = chol @ state.target_rngs[k].standard_normal(2)
+        noise = matvec2(chol,
+                        state.target_rngs[k].standard_normal(2).tolist())
         x = state.target_pos[k, 0] + noise[0]
         y = state.target_pos[k, 1] + noise[1]
         state.target_pos[k] = (_reflect(x, 0.0, w), _reflect(y, 0.0, h))
@@ -342,7 +343,8 @@ def sense_targets(state: WorldState, agent: int, cfg: WorldConfig,
         r, bearing = polar
         if cmap is None:
             cov, factor = cov_at(r, bearing)
-            noise = factor @ rng.standard_normal(2)
+            noise = matvec2(factor.ravel().tolist(),
+                            rng.standard_normal(2).tolist())
         else:
             # The analytic covariance is var * I, whose Cholesky factor is
             # sqrt(var) * I; scaling the draw gives the product's bits.
@@ -359,7 +361,8 @@ def sense_displacement(state: WorldState, agent: int, prev_pos,
     true_dp = state.agent_pos[agent] - np.asarray(prev_pos, dtype=float)
     if state.dp_chol is None:
         return true_dp.copy(), cfg.r_dp.copy()
-    noise = state.dp_chol @ state.sense_rngs[agent].standard_normal(2)
+    noise = matvec2(state.dp_chol.ravel().tolist(),
+                    state.sense_rngs[agent].standard_normal(2).tolist())
     return true_dp + noise, cfg.r_dp.copy()
 
 

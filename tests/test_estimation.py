@@ -2,7 +2,9 @@
 
 The fusion oracle below is an independent implementation using
 numpy.linalg.inv on stacked matrices; the library must match it to 1e-9
-over a large randomized sample of well-conditioned inputs.
+over a large randomized sample of well-conditioned inputs.  A second oracle
+fuses stacks through numpy's matmul, and the float kernels must give its
+bits exactly.
 """
 
 from dataclasses import dataclass
@@ -10,11 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pherotrack.estimation import (EPS_INV, GaussianEstimate,
+from pherotrack.estimation import (EPS_INV, EYE2, GaussianEstimate,
                                    SingularCovarianceError, _inv_entries,
-                                   entropy, flat_entropy, fuse,
-                                   fuse_informed, info_form, inv2, propagate)
-from pherotrack.sensing import CalibrationTable, interpolate_cov
+                                   entropy, flat_entropy, fuse, inv2,
+                                   matvec2, propagate)
+from pherotrack.sensing import CalibrationTable, interpolate_cov, rot2
+from pherotrack.world import CHOL_JITTER, make_state, sim_2d_preset
 
 
 def random_pd(rng, floor=0.01):
@@ -34,6 +37,20 @@ def flat(mean, cov):
     """A flat (mean, cov) pair, as the tracker holds estimates."""
     e = GaussianEstimate(mean, cov)
     return e.mean, e.cov
+
+
+def info_form(mean, cov):
+    """Inverse covariances and information vectors (K, 2, 1) of a stack."""
+    inv = inv2(cov)
+    return inv, np.matmul(inv, mean[..., None])
+
+
+def fuse_informed(a_mean, a_cov, ib, ib_b):
+    """Fusion row by row on stacks (K, 2) and (K, 2, 2) through numpy's
+    stacked matmul, the second operand in :func:`info_form`."""
+    ia, ia_a = info_form(a_mean, a_cov)
+    cov = inv2(ia + ib, check=False)
+    return np.matmul(cov, ia_a + ib_b)[..., 0], cov
 
 
 def fuse_stacked(a_mean, a_cov, b_mean, b_cov):
@@ -92,6 +109,8 @@ def test_inv2_matches_numpy_and_guards_singularity():
 
 
 def test_stacked_kernels_match_single_matrix_kernels_bit_for_bit():
+    # The stacked oracle multiplies through np.matmul, the float fuse()
+    # through matvec2: equal bytes show the float kernel has numpy's bits.
     rng = np.random.default_rng(29)
     k = 200
     a_mean, b_mean = rng.standard_normal((2, k, 2)) * 5
@@ -110,6 +129,64 @@ def test_stacked_kernels_match_single_matrix_kernels_bit_for_bit():
     b_cov[k // 2] = 0.0
     with pytest.raises(SingularCovarianceError):
         fuse_stacked(a_mean, a_cov, b_mean, b_cov)
+
+
+def _matvec_cases(rng, n):
+    """``n`` (flat 2x2, 2-vector) pairs of the kinds the program multiplies,
+    plus wide-range full and diagonal ones with signed zeros."""
+    cases = []
+    state = make_state(sim_2d_preset(
+        q_k=((0.002, 0.0008), (0.0008, 0.001)),
+        r_dp=((2e-3, 1.5e-3), (1.5e-3, 2e-3))), 0)
+    factors = [state.q_chol, state.dp_chol]
+    for _ in range(n):
+        kind = int(rng.integers(5))
+        v = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-9, 9, 2)
+        if kind == 0:      # full, entries from 1e-9 to 1e9
+            m = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-9, 9, 4)
+        elif kind == 1:    # diagonal
+            m = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-9, 9, 4)
+            m[1:3] = rng.choice([0.0, -0.0], 2)
+        elif kind == 2:    # signed zeros anywhere, in matrix and vector
+            m = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-9, 9, 4)
+            m[rng.random(4) < 0.3] = rng.choice([0.0, -0.0])
+            v[rng.random(2) < 0.3] = rng.choice([0.0, -0.0])
+        elif kind == 3:    # a rotation, as the agent turns points
+            m = np.array(rot2(rng.uniform(-np.pi, np.pi)))
+            v = rng.uniform(-30.0, 30.0, 2)
+        else:              # a noise factor, as make_state builds it
+            if rng.random() < 0.1:
+                m = factors[int(rng.integers(2))].ravel()
+            else:
+                g = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 1)
+                m = np.linalg.cholesky(g @ g.T + EYE2 * CHOL_JITTER).ravel()
+            v = rng.standard_normal(2)
+        cases.append((tuple(m.tolist()), tuple(v.tolist())))
+    return cases
+
+
+def test_matvec2_is_numpy_matmul_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cases = _matvec_cases(rng, 60_000)
+    want = np.array([np.array(m).reshape(2, 2) @ np.array(v)
+                     for m, v in cases])
+
+    def mismatched_rows(kernel):
+        got = np.array([kernel(m, v) for m, v in cases])
+        return int((got.view(np.int64) != want.view(np.int64)).sum())
+
+    def plain(m, v):
+        return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
+
+    assert want.size >= 100_000
+    assert mismatched_rows(matvec2) == 0
+    # Rounding twice is not numpy's rule: the test can tell them apart.
+    assert mismatched_rows(plain) > 1000
+    # Every matrix slot held an exact -0.0 and an exact +0.0 somewhere.
+    slots = np.array([m for m, _ in cases])
+    neg = np.signbit(slots) & (slots == 0.0)
+    pos = ~np.signbit(slots) & (slots == 0.0)
+    assert neg.sum(axis=0).min() > 100 and pos.sum(axis=0).min() > 100
 
 
 def test_fuse_raises_on_singular_input():
